@@ -53,7 +53,7 @@ from .reformulate import (
     SeparableLoss,
     TwoStageLoss,
     _builder_for,
-    solve_worst_case,
+    _solve_program,
 )
 
 # errors that reflect the mathematics of the instance rather than its
@@ -344,7 +344,7 @@ def cmd_solve(args) -> int:
     lp = _builder_for(problem.loss)(problem)
     if args.dump_lp:
         Path(args.dump_lp).write_text(dump_program(lp))
-    value, sol = solve_worst_case(problem)
+    value, sol = _solve_program(lp)
     if not np.isfinite(value):
         print(
             "the worst-case expectation is unbounded on this support",

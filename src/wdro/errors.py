@@ -67,10 +67,6 @@ class SampleOutsideSupport(WdroError):
     membership tolerance."""
 
 
-class SlopeTooLarge(WdroError):
-    """A candidate test function is not 1-Lipschitz for the ground norm."""
-
-
 class EscapingMassPresent(WdroError):
     """Ball membership was requested for a worst-case description whose
     optimum is only attained asymptotically.  The exception carries the

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .geometry import GroundNorm, Polytope, dual_norm_value, nearest_point
 from .lp import LinearProgram, LpBuilder
+from .reformulate import _Assembler
 from .simplex import solve_lp
 
 __all__ = [
@@ -165,48 +166,19 @@ def build_portfolio_dro(
             f"a sample violates the support by {worst:.3e}"
         )
     a_coef, b_coef = spec.pieces()
-    dual = spec.ground_norm.dual.value
 
-    b = LpBuilder("min")
-    x = b.vars("x", m, lb=0.0)
-    tau = b.var("tau")
-    lam = b.var("lam", lb=0.0)
-    s = b.vars("s", N)
-    obj = {lam: epsilon}
-    for si in s:
-        obj[si] = 1.0 / N
-    b.set_objective(obj)
-    b.add_eq({xj: 1.0 for xj in x}, 1.0)
-
-    for i in range(N):
-        xi = data[i]
+    a = _Assembler(epsilon, spec.ground_norm)
+    x = a.b.vars("x", m, lb=0.0)
+    tau = a.b.var("tau")
+    s = a.epigraph(N)
+    a.b.add_eq({xj: 1.0 for xj in x}, 1.0)
+    for i, xi in enumerate(data):
         for k in range(2):
-            row = {tau: b_coef[k], s[i]: -1.0}
-            for j in range(m):
-                if xi[j] != 0.0:
-                    row[x[j]] = row.get(x[j], 0.0) + a_coef[k] * xi[j]
-            if support.is_free:
-                b.add_row(row, "<=", 0.0)
-            else:
-                g = b.vars(f"gamma[{i},{k}]", support.n_rows, lb=0.0)
-                slack = support.d - support.C @ xi
-                for r in range(support.n_rows):
-                    row[g[r]] = slack[r]
-                b.add_row(row, "<=", 0.0)
-                exprs = []
-                for j in range(m):
-                    terms = {x[j]: -a_coef[k]}
-                    for r in range(support.n_rows):
-                        if support.C[r, j] != 0.0:
-                            terms[g[r]] = terms.get(g[r], 0.0) + support.C[r, j]
-                    exprs.append((terms, 0.0))
-                b.add_norm_le(exprs, lam, dual, tag=f"[{i},{k}]")
-    if support.is_free:
-        # the dual-norm rows do not involve the sample, emit once per piece
-        for k in range(2):
-            exprs = [({x[j]: -a_coef[k]}, 0.0) for j in range(m)]
-            b.add_norm_le(exprs, lam, dual, tag=f"[{k}]")
-    return b.build()
+            terms = {tau: b_coef[k]}
+            terms.update((x[j], a_coef[k] * xi[j]) for j in range(m) if xi[j] != 0.0)
+            part = [({x[j]: -a_coef[k]}, 0.0) for j in range(m)]
+            a.block(s[i], support, xi, terms, 0.0, part, f"[{i},{k}]", shared=f"[{k}]")
+    return a.build()
 
 
 def _solve_portfolio_free(spec, data, epsilon):
@@ -329,8 +301,11 @@ class PortfolioDecisionProblem:
 def gaussian_orthant_upper(mu, cov, tol: float = 1e-6) -> float:
     """P[Z >= 0] for Z ~ N(mu, cov) in dimension 1 to 3, by conditioning
     the last coordinate on the others and integrating the remaining
-    normal density with adaptive quadrature.  Deterministic; absolute
-    accuracy well under ``tol``."""
+    normal density with adaptive quadrature.  In dimension 3 the first
+    two coordinates are conditioned on unless their covariance block is
+    singular, in which case the best-conditioned other pair is; a
+    covariance of rank at least 2 always has one.  Deterministic;
+    absolute accuracy well under ``tol``."""
     mu = np.asarray(mu, dtype=float).reshape(-1)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     n = mu.size
@@ -359,6 +334,21 @@ def gaussian_orthant_upper(mu, cov, tol: float = 1e-6) -> float:
         )
         return float(val)
     if n == 3:
+
+        def conditioning(pair) -> float:
+            S = cov[np.ix_(pair, pair)]
+            scale = S[0, 0] * S[1, 1]
+            return float(np.linalg.det(S)) / scale if scale > 0.0 else 0.0
+
+        pair = (0, 1)
+        if conditioning(pair) <= 1e-12:
+            pair = max([(0, 2), (1, 2)], key=conditioning)
+            if conditioning(pair) <= 1e-12:
+                raise DimensionMismatch(
+                    "orthant oracle needs a covariance of rank at least 2"
+                )
+        order = [*pair, 3 - sum(pair)]
+        mu, cov = mu[order], cov[np.ix_(order, order)]
         S = cov[:2, :2]
         S_inv = np.linalg.inv(S)
         det = float(np.linalg.det(S))
@@ -405,8 +395,9 @@ def fast_uq_bounds(region: Polytope, norm: GroundNorm = GroundNorm.L1):
     Only the ground-norm distance from each sample to the region (upper
     bound) or to its complement (lower bound) matters, and the optimal
     multiplier of the one-dimensional dual sits on a breakpoint 1/d_i.
-    Distances are cached per sample set, so sweeping radii costs one
-    distance pass plus a breakpoint scan per radius.  Matches the generic
+    Distances to the region are LPs cached per sample, so sweeping radii
+    or folds solves one LP per distinct sample outside the region;
+    distances to the complement are closed form.  Matches the generic
     programs (equality-tested on small instances).
     """
     if region.n_rows and not region.nonempty():
@@ -414,40 +405,35 @@ def fast_uq_bounds(region: Polytope, norm: GroundNorm = GroundNorm.L1):
     dual_norms = np.array(
         [dual_norm_value(region.C[k], norm) for k in range(region.n_rows)]
     )
-    cache_in: dict[bytes, np.ndarray] = {}
-    cache_out: dict[bytes, np.ndarray] = {}
+    cache: dict[bytes, float] = {}
 
     def region_distances(X: np.ndarray) -> np.ndarray:
-        key = X.tobytes()
-        if key not in cache_in:
-            d = np.zeros(X.shape[0])
-            if region.n_rows:
-                viol = region.violation(X)
-                for i in np.flatnonzero(viol > 0.0):
+        d = np.zeros(X.shape[0])
+        if region.n_rows:
+            for i in np.flatnonzero(region.violation(X) > 0.0):
+                key = X[i].tobytes()
+                if key not in cache:
                     try:
-                        d[i] = nearest_point(region, X[i], norm)[0]
+                        cache[key] = nearest_point(region, X[i], norm)[0]
                     except EmptySupport:
                         raise HypothesisViolated("the region is empty") from None
-            cache_in[key] = d
-        return cache_in[key]
+                d[i] = cache[key]
+        return d
 
     def complement_distances(X: np.ndarray) -> np.ndarray:
-        key = X.tobytes()
-        if key not in cache_out:
-            cols = []
-            for k in range(region.n_rows):
-                if dual_norms[k] == 0.0:
-                    if region.d[k] <= 0.0:
-                        cols.append(np.zeros(X.shape[0]))
-                    continue  # empty halfspace contributes nothing
-                margin = region.d[k] - X @ region.C[k]
-                cols.append(np.maximum(0.0, margin) / dual_norms[k])
-            if not cols:
-                raise HypothesisViolated(
-                    "no boundary halfspace of the region is reachable"
-                )
-            cache_out[key] = np.min(np.column_stack(cols), axis=1)
-        return cache_out[key]
+        cols = []
+        for k in range(region.n_rows):
+            if dual_norms[k] == 0.0:
+                if region.d[k] <= 0.0:
+                    cols.append(np.zeros(X.shape[0]))
+                continue  # empty halfspace contributes nothing
+            margin = region.d[k] - X @ region.C[k]
+            cols.append(np.maximum(0.0, margin) / dual_norms[k])
+        if not cols:
+            raise HypothesisViolated(
+                "no boundary halfspace of the region is reachable"
+            )
+        return np.min(np.column_stack(cols), axis=1)
 
     def breakpoint_min(eps: float, d: np.ndarray) -> float:
         positive = np.unique(d[d > 0.0])

@@ -3,7 +3,9 @@
 Transport costs are measured in a ground norm on the sample space; only
 the 1-norm and the max-norm are supported because only those keep every
 downstream program linear.  Supports are polytopes ``{x : Cx <= d}``; an
-empty ``C`` means the whole space.
+empty ``C`` means the whole space.  Every LP question about a polytope
+(nonempty, nearest point, meets a halfspace, bounded, recession ray) is
+one call to ``_polytope_lp``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     TooLarge,
     UnboundedPolyhedron,
 )
-from .lp import LpBuilder
+from .lp import LpBuilder, LpSolution
 from .simplex import solve_lp
 
 __all__ = [
@@ -30,7 +32,6 @@ __all__ = [
     "norm_value",
     "dual_norm_value",
     "Polytope",
-    "support_function",
     "nearest_point",
     "enumerate_vertices",
 ]
@@ -132,39 +133,30 @@ class Polytope:
         return self.violation(points) <= tol
 
     def nonempty(self) -> bool:
-        if self.is_free:
-            return True
-        b = LpBuilder("min")
-        x = b.vars("x", self.dim)
-        for i in range(self.n_rows):
-            b.add_le({x[j]: self.C[i, j] for j in range(self.dim)}, self.d[i])
-        return solve_lp(b.build()).status == "optimal"
+        return self.is_free or _polytope_lp(self.C, self.d).status == "optimal"
 
 
-def support_function(p: Polytope, z: np.ndarray) -> float:
-    """sup {<z, x> : x in p}, possibly +inf.
+def _polytope_lp(C: np.ndarray, d: np.ndarray, cost=None, near=None) -> LpSolution:
+    """The one LP over {x : Cx <= d} behind every polytope question.
 
-    Computed through the dual program min {<gamma, d> : C'gamma = z,
-    gamma >= 0}; its infeasibility certifies an unbounded direction
-    whenever the support itself is nonempty.
+    Minimizes <cost, x> (zero when ``cost`` is None) or, with
+    ``near = (point, norm)``, the ground-norm distance from ``point``,
+    whose rows come before the polytope's.  x occupies the first columns
+    of the solution.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != p.dim:
-        raise DimensionMismatch("direction length does not match support dimension")
-    if p.is_free:
-        return 0.0 if np.all(z == 0.0) else inf
-
     b = LpBuilder("min")
-    g = b.vars("gamma", p.n_rows, lb=0.0)
-    b.set_objective({g[i]: p.d[i] for i in range(p.n_rows)})
-    for j in range(p.dim):
-        b.add_eq({g[i]: p.C[i, j] for i in range(p.n_rows)}, z[j])
-    sol = solve_lp(b.build())
-    if sol.status == "optimal":
-        return sol.objective_value
-    if not p.nonempty():
-        raise EmptySupport("support polytope is empty")
-    return inf
+    dim = C.shape[1]
+    x = b.vars("x", dim)
+    if near is not None:
+        point, norm = near
+        t = b.var("t", lb=0.0)
+        b.set_objective({t: 1.0})
+        b.add_norm_le([({x[j]: 1.0}, -point[j]) for j in range(dim)], t, norm.value)
+    elif cost is not None:
+        b.set_objective(dict(zip(x, cost)))
+    for i in range(C.shape[0]):
+        b.add_le({x[j]: C[i, j] for j in range(dim)}, d[i])
+    return solve_lp(b.build())
 
 
 def nearest_point(p: Polytope, point: np.ndarray, norm: GroundNorm) -> tuple[float, np.ndarray]:
@@ -175,19 +167,10 @@ def nearest_point(p: Polytope, point: np.ndarray, norm: GroundNorm) -> tuple[flo
         raise DimensionMismatch("point length does not match support dimension")
     if p.is_free:
         return 0.0, point.copy()
-    b = LpBuilder("min")
-    x = b.vars("x", p.dim)
-    t = b.var("t", lb=0.0)
-    b.set_objective({t: 1.0})
-    b.add_norm_le(
-        [({x[j]: 1.0}, -point[j]) for j in range(p.dim)], t, norm.value
-    )
-    for i in range(p.n_rows):
-        b.add_le({x[j]: p.C[i, j] for j in range(p.dim)}, p.d[i])
-    sol = solve_lp(b.build())
+    sol = _polytope_lp(p.C, p.d, near=(point, norm))
     if sol.status != "optimal":
         raise EmptySupport("support polytope is empty")
-    return sol.objective_value, b.values_of(sol, x)
+    return sol.objective_value, sol.primal[: p.dim].copy()
 
 
 def _reduce_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-10):
@@ -223,13 +206,11 @@ def enumerate_vertices(
     n = A.shape[1]
 
     # Nontrivial recession ray <=> max 1'theta over {A theta = 0, 0 <= theta <= 1} > 0.
-    bld = LpBuilder("max")
-    th = bld.vars("theta", n, lb=0.0, ub=1.0)
-    bld.set_objective({v: 1.0 for v in th})
-    for i in range(A.shape[0]):
-        bld.add_eq({th[j]: A[i, j] for j in range(n) if A[i, j] != 0.0}, 0.0)
-    rec = solve_lp(bld.build())
-    if rec.status != "optimal" or rec.objective_value > 1e-9:
+    eye = np.eye(n)
+    C = np.vstack([A, -A, eye, -eye])
+    d = np.concatenate([np.zeros(2 * A.shape[0]), np.ones(n), np.zeros(n)])
+    rec = _polytope_lp(C, d, -np.ones(n))
+    if rec.status != "optimal" or rec.objective_value < -1e-9:
         raise UnboundedPolyhedron(
             "the set {theta >= 0 : A theta = b} has a nonzero recession direction"
         )

@@ -1,5 +1,4 @@
-"""Dense linear-program containers, a small construction helper, and the
-symbolic dual transformation.
+"""Dense linear-program containers and a small construction helper.
 
 A :class:`LinearProgram` is a plain dense description
 
@@ -14,18 +13,18 @@ Dual convention.  For a minimization program the dual multiplier of a ">="
 row is nonnegative, of a "<=" row nonpositive, and of an "=" row free, so
 that ``c = A'y + z`` with ``z`` the reduced costs supported on active
 bounds.  For a maximization program the signs flip ("<=" rows carry
-nonnegative multipliers).  ``dual_of`` and the duals reported by
-``solve_lp`` follow the same convention.
+nonnegative multipliers).  The duals reported by ``solve_lp`` follow
+this convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedProgram
+from .errors import MalformedProgram
 
 __all__ = [
     "LinearProgram",
@@ -33,7 +32,6 @@ __all__ = [
     "SolverConfig",
     "LpBuilder",
     "Var",
-    "dual_of",
     "dump_program",
 ]
 
@@ -133,8 +131,7 @@ class SolverConfig:
     ``pivot_tol * max(1, max|w|)`` with w the entering column in the
     current basis.  gap_tol is the relative primal/dual gap accepted at
     optimality.  feas_tol, opt_tol and gap_tol are enforced by a final
-    check before a solution is reported optimal.  comp_tol is the
-    complementary-slackness residual.  Pricing starts with the
+    check before a solution is reported optimal.  Pricing starts with the
     largest-violation rule and falls back to Bland's least-index rule after
     ``bland_after(n_vars, n_rows)`` iterations, which guarantees
     termination on degenerate programs.
@@ -144,7 +141,6 @@ class SolverConfig:
     opt_tol: float = 1e-9
     gap_tol: float = 1e-8
     pivot_tol: float = 1e-10
-    comp_tol: float = 1e-8
     refactor_every: int = 100
     max_iterations: int = 2_000_000
 
@@ -283,73 +279,6 @@ class LpBuilder:
     @staticmethod
     def values_of(solution: LpSolution, vs: Iterable[Var]) -> np.ndarray:
         return np.array([solution.primal[v.index] for v in vs])
-
-
-def dual_of(lp: LinearProgram) -> LinearProgram:
-    """Symbolic dual of a general-form program.
-
-    One dual variable per row (signed per the convention in the module
-    docstring) plus one per finite bound, except that the common patterns
-    x >= 0 and x <= 0 are folded into inequality rows so that the textbook
-    shape comes out: min c'x, Ax >= b, x >= 0 dualizes to max b'y,
-    A'y <= c, y >= 0.  The dual of a maximization program is returned as a
-    minimization program with the same optimal value.
-    """
-    flip = lp.sense == "max"
-    c = -lp.costs if flip else lp.costs
-    A, b = lp.row_coeffs, lp.row_rhs
-    m, n = A.shape
-
-    bld = LpBuilder(sense="max")
-    ys = []
-    for i, rel in enumerate(lp.row_relations):
-        if rel == GE:
-            ys.append(bld.var(f"y[{i}]", lb=0.0))
-        elif rel == LE:
-            ys.append(bld.var(f"y[{i}]", ub=0.0))
-        else:
-            ys.append(bld.var(f"y[{i}]"))
-        bld.add_objective_term(ys[-1], b[i])
-
-    # Structural rows: A'y (+ bound multipliers) relate to c per column.
-    for j in range(n):
-        lo, hi = lp.lower[j], lp.upper[j]
-        terms = {ys[i]: A[i, j] for i in range(m) if A[i, j] != 0.0}
-        if lo == hi:
-            pi = bld.var(f"pi[{j}]")
-            bld.add_objective_term(pi, lo)
-            terms[pi] = terms.get(pi, 0.0) + 1.0
-            bld.add_eq(terms, c[j])
-            continue
-        lo_f, hi_f = np.isfinite(lo), np.isfinite(hi)
-        if lo_f and lo == 0.0 and not hi_f:
-            bld.add_le(terms, c[j])
-        elif hi_f and hi == 0.0 and not lo_f:
-            bld.add_ge(terms, c[j])
-        else:
-            if lo_f:
-                mu = bld.var(f"mu[{j}]", lb=0.0)
-                bld.add_objective_term(mu, lo)
-                terms[mu] = terms.get(mu, 0.0) + 1.0
-            if hi_f:
-                nu = bld.var(f"nu[{j}]", ub=0.0)
-                bld.add_objective_term(nu, hi)
-                terms[nu] = terms.get(nu, 0.0) + 1.0
-            bld.add_eq(terms, c[j])
-
-    dual = bld.build()
-    if not flip:
-        return dual
-    return LinearProgram(
-        sense="min",
-        costs=-dual.costs,
-        row_coeffs=dual.row_coeffs,
-        row_relations=dual.row_relations,
-        row_rhs=dual.row_rhs,
-        lower=dual.lower,
-        upper=dual.upper,
-        names=dual.names,
-    )
 
 
 def _fmt(x: float) -> str:

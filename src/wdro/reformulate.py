@@ -11,6 +11,16 @@ Supported loss families, each with its own builder:
   uncertainty,
 * stagewise-separable losses under the additive process norm.
 
+Every program comes from one duality step: a budget multiplier lam >= 0
+with cost radius, one epigraph variable s_i per sample with cost 1/N, and
+per (sample, piece) block support multipliers gamma >= 0 tied to the
+piece's slope by a dual-norm row ||C'gamma + v||_dual <= lam.  The private
+``_Assembler`` alone writes that step; each builder validates its loss,
+checks the reformulation's hypotheses and supplies per-block data: its
+local variables (theta, y or none), the epigraph terms and right-hand
+side, its part v of the norm vector, and extra rows (the theta simplex
+row, the recourse rows W y >= h).
+
 Every builder returns a plain :class:`LinearProgram` whose optimal value
 is the worst-case expectation; ``worst_case_value`` dispatches, solves
 and maps an unbounded program to +inf.  At radius zero every program
@@ -32,9 +42,18 @@ from .errors import (
     RecourseSetUnbounded,
     SampleOutsideSupport,
     SupportNotFullSpace,
+    UnboundedPolyhedron,
     WdroError,
 )
-from .geometry import GroundNorm, Polytope, dual_norm_value, nearest_point
+from .geometry import (
+    GroundNorm,
+    Polytope,
+    _polytope_lp,
+    dual_norm_value,
+    enumerate_vertices,
+    nearest_point,
+    norm_value,
+)
 from .lp import LinearProgram, LpBuilder, LpSolution, SolverConfig, Var
 from .simplex import solve_lp
 
@@ -300,17 +319,101 @@ def _check_support_nonempty(support: Polytope) -> None:
         raise EmptySupport("support polytope is empty")
 
 
-def _support_terms(b: LpBuilder, support: Polytope, xi: np.ndarray, tag: str):
-    """Fresh multipliers gamma >= 0 for one (sample, piece) block together
-    with their epigraph-row contribution <gamma, d - C xi> and the column
-    expressions of C'gamma."""
-    R = support.n_rows
-    g = b.vars(f"gamma{tag}", R, lb=0.0)
-    slack = support.d - support.C @ xi
-    epi = {g[r]: slack[r] for r in range(R)}
-    cols = [{g[r]: support.C[r, j] for r in range(R) if support.C[r, j] != 0.0}
-            for j in range(support.dim)]
-    return epi, cols
+def _combination(vs, M: np.ndarray):
+    """The vector M v over the variables ``vs``, one ({var: coeff}, 0.0)
+    pair per row of M, in the form ``LpBuilder.add_norm_le`` takes."""
+    return [({v: c for v, c in zip(vs, row) if c != 0.0}, 0.0) for row in M]
+
+
+class _Assembler:
+    """The duality step behind every program in this module:
+
+        min  lam * radius + sum over groups of (1/N) sum_i s_i
+        s.t. <loss terms> + <gamma, d - C xi_i> - s_i <= rhs     per block
+             ||C' gamma + v||_dual <= lam                         per block
+             lam >= 0, gamma >= 0
+
+    A block is one (sample, piece) pair: the builder supplies the loss's
+    epigraph terms and right-hand side and its part v of the norm vector
+    (a list of ({var: coeff}, const) pairs), and creates its own local
+    variables through ``b`` before calling :meth:`block`.  Each block adds
+    its columns as local variables, gamma, then norm auxiliaries, and its
+    rows as the epigraph row, then the dual-norm rows.
+
+    On a free support there is no gamma, and two norm vectors reduce.  One
+    that does not depend on the block (``shared``) gets its rows once per
+    key, emitted when the group of epigraph variables closes.  One that is
+    a nonnegative multiple of a fixed vector c (``scale``) becomes the
+    single row ||c||_dual * scale <= lam.
+    """
+
+    def __init__(self, radius: float, norm: GroundNorm):
+        self.b = LpBuilder("min")
+        self.radius = radius
+        self.dual = norm.dual
+        self.lam: Var | None = None
+        self.obj: dict = {}
+        self._shared: dict = {}
+
+    def epigraph(self, n: int, name: str = "s", lb: float = -np.inf) -> list[Var]:
+        """A group of n epigraph variables with cost 1/n each.  The first
+        group also creates lam, after any variables the caller made."""
+        self._flush()
+        if self.lam is None:
+            lam = self.lam = self.b.var("lam", lb=0.0)
+            self.obj = {lam: self.radius}
+        s = self.b.vars(name, n, lb=lb)
+        self.obj.update((si, 1.0 / n) for si in s)
+        return s
+
+    def block(self, s_i, support, xi, terms, rhs, part, tag, shared=None, scale=None):
+        """The epigraph row terms + <gamma, d - C xi> - s_i <= rhs and the
+        dual-norm rows ||C'gamma + part||_dual <= lam of one block; ``tag``
+        names its gamma and norm auxiliaries."""
+        b = self.b
+        row = dict(terms)
+        if support.is_free:
+            vec = part
+        else:
+            C = support.C
+            g = b.vars(f"gamma{tag}", support.n_rows, lb=0.0)
+            row.update(zip(g, support.d - C @ xi))
+            vec = [
+                ({g[r]: C[r, j] for r in range(support.n_rows) if C[r, j] != 0.0} | t, c)
+                for j, (t, c) in enumerate(part)
+            ]
+        row[s_i] = -1.0
+        b.add_le(row, rhs)
+        if support.is_free and shared is not None:
+            self._shared.setdefault(shared, part)
+        elif support.is_free and scale is not None:
+            c = np.array([t.get(scale, 0.0) for t, _ in part])
+            b.add_le({scale: norm_value(c, self.dual), self.lam: -1.0}, 0.0)
+        else:
+            b.add_norm_le(vec, self.lam, self.dual.value, tag=tag)
+
+    def _flush(self) -> None:
+        for key, part in self._shared.items():
+            self.b.add_norm_le(part, self.lam, self.dual.value, tag=key)
+        self._shared.clear()
+
+    def build(self) -> LinearProgram:
+        self._flush()
+        self.b.set_objective(self.obj)
+        return self.b.build()
+
+
+def _max_affine_blocks(a: _Assembler, s, loss, support, samples, pre: str = "") -> None:
+    """One block per (sample, piece) of a max-affine loss; its norm vector
+    -a_k does not depend on the sample."""
+    loss = loss.deduplicated()
+    for i, xi in enumerate(samples):
+        base = loss.slopes @ xi + loss.intercepts
+        for k in range(loss.n_pieces):
+            a.block(
+                s[i], support, xi, {}, -base[k], [({}, -c) for c in loss.slopes[k]],
+                f"[{pre}{i},{k}]", shared=f"[{pre}{k}]",
+            )
 
 
 def build_max_affine(p: DroProblem) -> LinearProgram:
@@ -323,36 +426,9 @@ def build_max_affine(p: DroProblem) -> LinearProgram:
     if not isinstance(p.loss, PiecewiseAffineLoss) or p.loss.kind != "max":
         raise DimensionMismatch("build_max_affine expects a max-affine loss")
     _check_support_nonempty(p.support)
-    loss = p.loss.deduplicated()
-    N, m, K = p.n_samples, p.dim, loss.n_pieces
-    dual = p.norm.dual.value
-
-    b = LpBuilder("min")
-    lam = b.var("lam", lb=0.0)
-    s = b.vars("s", N)
-    obj = {lam: p.radius}
-    for si in s:
-        obj[si] = 1.0 / N
-    b.set_objective(obj)
-
-    for i in range(N):
-        xi = p.samples[i]
-        base = loss.slopes @ xi + loss.intercepts
-        for k in range(K):
-            if p.support.is_free:
-                b.add_le({s[i]: -1.0}, -base[k])
-            else:
-                epi, cols = _support_terms(b, p.support, xi, f"[{i},{k}]")
-                row = dict(epi)
-                row[s[i]] = row.get(s[i], 0.0) - 1.0
-                b.add_le(row, -base[k])
-                exprs = [(cols[j], -loss.slopes[k, j]) for j in range(m)]
-                b.add_norm_le(exprs, lam, dual, tag=f"[{i},{k}]")
-    if p.support.is_free:
-        for k in range(K):
-            exprs = [({}, -loss.slopes[k, j]) for j in range(m)]
-            b.add_norm_le(exprs, lam, dual, tag=f"[{k}]")
-    return b.build()
+    a = _Assembler(p.radius, p.norm)
+    _max_affine_blocks(a, a.epigraph(p.n_samples), p.loss, p.support, p.samples)
+    return a.build()
 
 
 def build_min_affine(p: DroProblem) -> LinearProgram:
@@ -364,40 +440,16 @@ def build_min_affine(p: DroProblem) -> LinearProgram:
         raise DimensionMismatch("build_min_affine expects a min-affine loss")
     _check_support_nonempty(p.support)
     loss = p.loss.deduplicated()
-    N, m, K = p.n_samples, p.dim, loss.n_pieces
-    dual = p.norm.dual.value
-
-    b = LpBuilder("min")
-    lam = b.var("lam", lb=0.0)
-    s = b.vars("s", N)
-    obj = {lam: p.radius}
-    for si in s:
-        obj[si] = 1.0 / N
-    b.set_objective(obj)
-
-    for i in range(N):
-        xi = p.samples[i]
-        th = b.vars(f"theta[{i}]", K, lb=0.0)
-        b.add_eq({t: 1.0 for t in th}, 1.0)
+    K = loss.n_pieces
+    a = _Assembler(p.radius, p.norm)
+    s = a.epigraph(p.n_samples)
+    for i, xi in enumerate(p.samples):
+        th = a.b.vars(f"theta[{i}]", K, lb=0.0)
+        a.b.add_eq({t: 1.0 for t in th}, 1.0)
         base = loss.slopes @ xi + loss.intercepts
-        row = {th[k]: base[k] for k in range(K)}
-        if p.support.is_free:
-            cols = [dict() for _ in range(m)]
-        else:
-            epi, cols = _support_terms(b, p.support, xi, f"[{i}]")
-            for g, coef in epi.items():
-                row[g] = row.get(g, 0.0) + coef
-        row[s[i]] = row.get(s[i], 0.0) - 1.0
-        b.add_le(row, 0.0)
-        exprs = []
-        for j in range(m):
-            terms = dict(cols[j])
-            for k in range(K):
-                if loss.slopes[k, j] != 0.0:
-                    terms[th[k]] = terms.get(th[k], 0.0) - loss.slopes[k, j]
-            exprs.append((terms, 0.0))
-        b.add_norm_le(exprs, lam, dual, tag=f"[{i}]")
-    return b.build()
+        a.block(s[i], p.support, xi, dict(zip(th, base)), 0.0,
+                _combination(th, -loss.slopes.T), f"[{i}]")
+    return a.build()
 
 
 def _halfspace_meets_support(a: np.ndarray, rhs: float, support: Polytope) -> bool:
@@ -406,12 +458,8 @@ def _halfspace_meets_support(a: np.ndarray, rhs: float, support: Polytope) -> bo
         if np.any(a != 0.0):
             return True
         return 0.0 >= rhs
-    b = LpBuilder("min")
-    x = b.vars("x", support.dim)
-    for i in range(support.n_rows):
-        b.add_le({x[j]: support.C[i, j] for j in range(support.dim)}, support.d[i])
-    b.add_ge({x[j]: a[j] for j in range(support.dim) if a[j] != 0.0}, rhs)
-    return solve_lp(b.build()).status == "optimal"
+    C = np.vstack([support.C, -a])
+    return _polytope_lp(C, np.append(support.d, -rhs)).status == "optimal"
 
 
 def build_uq_worst(p: DroProblem) -> LinearProgram:
@@ -426,45 +474,22 @@ def build_uq_worst(p: DroProblem) -> LinearProgram:
     _check_support_nonempty(p.support)
     region = p.loss.region
     A, bv = region.C, region.d
-    N, m, K = p.n_samples, p.dim, region.n_rows
-    dual = p.norm.dual.value
 
-    for k in range(K):
+    for k in range(region.n_rows):
         if not _halfspace_meets_support(A[k], bv[k], p.support):
             raise HypothesisViolated(
                 f"halfspace {k} of the region never meets the support"
             )
 
-    b = LpBuilder("min")
-    lam = b.var("lam", lb=0.0)
-    s = b.vars("s", N, lb=0.0)
-    obj = {lam: p.radius}
-    for si in s:
-        obj[si] = 1.0 / N
-    b.set_objective(obj)
-
-    for i in range(N):
-        xi = p.samples[i]
+    a = _Assembler(p.radius, p.norm)
+    s = a.epigraph(p.n_samples, lb=0.0)
+    for i, xi in enumerate(p.samples):
         margins = bv - A @ xi
-        for k in range(K):
-            th = b.var(f"theta[{i},{k}]", lb=0.0)
-            row = {th: -margins[k], s[i]: -1.0}
-            if p.support.is_free:
-                b.add_row(row, "<=", -1.0)
-                b.add_le({th: dual_norm_value(A[k], p.norm), lam: -1.0}, 0.0)
-            else:
-                epi, cols = _support_terms(b, p.support, xi, f"[{i},{k}]")
-                for g, coef in epi.items():
-                    row[g] = row.get(g, 0.0) + coef
-                b.add_row(row, "<=", -1.0)
-                exprs = []
-                for j in range(m):
-                    terms = {th: A[k, j]} if A[k, j] != 0.0 else {}
-                    for g, coef in cols[j].items():
-                        terms[g] = terms.get(g, 0.0) - coef
-                    exprs.append((terms, 0.0))
-                b.add_norm_le(exprs, lam, dual, tag=f"[{i},{k}]")
-    return b.build()
+        for k in range(region.n_rows):
+            th = a.b.var(f"theta[{i},{k}]", lb=0.0)
+            a.block(s[i], p.support, xi, {th: -margins[k]}, -1.0,
+                    _combination([th], -A[k][:, None]), f"[{i},{k}]", scale=th)
+    return a.build()
 
 
 def build_uq_best(p: DroProblem) -> LinearProgram:
@@ -476,74 +501,34 @@ def build_uq_best(p: DroProblem) -> LinearProgram:
     _check_support_nonempty(p.support)
     region = p.loss.region
     A, bv = region.C, region.d
-    N, m, K = p.n_samples, p.dim, region.n_rows
-    dual = p.norm.dual.value
 
     if p.support.is_free:
-        if K and not region.nonempty():
+        if region.n_rows and not region.nonempty():
             raise HypothesisViolated("the region is empty")
     else:
-        bb = LpBuilder("min")
-        x = bb.vars("x", m)
-        for i in range(p.support.n_rows):
-            bb.add_le({x[j]: p.support.C[i, j] for j in range(m)}, p.support.d[i])
-        for k in range(K):
-            bb.add_le({x[j]: A[k, j] for j in range(m)}, bv[k])
-        if solve_lp(bb.build()).status != "optimal":
+        C = np.vstack([p.support.C, A])
+        if _polytope_lp(C, np.concatenate([p.support.d, bv])).status != "optimal":
             raise HypothesisViolated("the region never meets the support")
 
-    b = LpBuilder("min")
-    lam = b.var("lam", lb=0.0)
-    s = b.vars("s", N, lb=0.0)
-    obj = {lam: p.radius}
-    for si in s:
-        obj[si] = 1.0 / N
-    b.set_objective(obj)
-
-    for i in range(N):
-        xi = p.samples[i]
-        margins = bv - A @ xi
-        th = b.vars(f"theta[{i}]", K, lb=0.0)
-        row = {th[k]: margins[k] for k in range(K)}
-        if p.support.is_free:
-            cols = [dict() for _ in range(m)]
-        else:
-            epi, cols = _support_terms(b, p.support, xi, f"[{i}]")
-            for g, coef in epi.items():
-                row[g] = row.get(g, 0.0) + coef
-        row[s[i]] = row.get(s[i], 0.0) - 1.0
-        b.add_le(row, -1.0)
-        exprs = []
-        for j in range(m):
-            terms = dict(cols[j])
-            for k in range(K):
-                if A[k, j] != 0.0:
-                    terms[th[k]] = terms.get(th[k], 0.0) + A[k, j]
-            exprs.append((terms, 0.0))
-        b.add_norm_le(exprs, lam, dual, tag=f"[{i}]")
-    return b.build()
+    a = _Assembler(p.radius, p.norm)
+    s = a.epigraph(p.n_samples, lb=0.0)
+    for i, xi in enumerate(p.samples):
+        th = a.b.vars(f"theta[{i}]", region.n_rows, lb=0.0)
+        a.block(s[i], p.support, xi, dict(zip(th, bv - A @ xi)), -1.0,
+                _combination(th, A.T), f"[{i}]")
+    return a.build()
 
 
 def _recourse_bounded(W: np.ndarray, h: np.ndarray) -> None:
     """{y : Wy >= h} must be nonempty and bounded (checked by LPs in each
     +-coordinate direction)."""
     n_y = W.shape[1]
-
-    def with_feasibility(objective_sign: float, coord: int):
-        b = LpBuilder("max")
-        y = b.vars("y", n_y)
-        b.set_objective({y[coord]: objective_sign})
-        for i in range(W.shape[0]):
-            b.add_ge({y[j]: W[i, j] for j in range(n_y) if W[i, j] != 0.0}, h[i])
-        return solve_lp(b.build())
-
-    first = with_feasibility(1.0, 0)
-    if first.status == "infeasible":
-        raise RecourseSetUnbounded("the recourse set {y : Wy >= h} is empty")
     for coord in range(n_y):
         for sign in (1.0, -1.0):
-            sol = with_feasibility(sign, coord)
-            if sol.status == "unbounded":
+            status = _polytope_lp(-W, -h, -sign * np.eye(n_y)[coord]).status
+            if status == "infeasible":
+                raise RecourseSetUnbounded("the recourse set {y : Wy >= h} is empty")
+            if status == "unbounded":
                 raise RecourseSetUnbounded(
                     f"the recourse set is unbounded in coordinate {coord}"
                 )
@@ -563,9 +548,6 @@ def build_two_stage(p: DroProblem) -> LinearProgram:
     loss = p.loss
 
     if loss.variant == "rhs":
-        from .geometry import enumerate_vertices
-        from .errors import UnboundedPolyhedron
-
         try:
             verts = enumerate_vertices(loss.W.T, loss.q)
         except UnboundedPolyhedron as exc:
@@ -588,44 +570,15 @@ def build_two_stage(p: DroProblem) -> LinearProgram:
 
     _recourse_bounded(loss.W, loss.h)
     Q, W, h = loss.Q, loss.W, loss.h
-    n_y = W.shape[1]
-    N, m = p.n_samples, p.dim
-    dual = p.norm.dual.value
-
-    b = LpBuilder("min")
-    lam = b.var("lam", lb=0.0)
-    s = b.vars("s", N)
-    obj = {lam: p.radius}
-    for si in s:
-        obj[si] = 1.0 / N
-    b.set_objective(obj)
-
-    for i in range(N):
-        xi = p.samples[i]
-        y = b.vars(f"y[{i}]", n_y)
-        qxi = Q @ xi
-        row = {y[t]: qxi[t] for t in range(n_y)}
-        if p.support.is_free:
-            cols = [dict() for _ in range(m)]
-        else:
-            epi, cols = _support_terms(b, p.support, xi, f"[{i}]")
-            for g, coef in epi.items():
-                row[g] = row.get(g, 0.0) + coef
-        row[s[i]] = row.get(s[i], 0.0) - 1.0
-        b.add_le(row, 0.0)
+    a = _Assembler(p.radius, p.norm)
+    s = a.epigraph(p.n_samples)
+    for i, xi in enumerate(p.samples):
+        y = a.b.vars(f"y[{i}]", W.shape[1])
         for r in range(W.shape[0]):
-            b.add_ge({y[t]: W[r, t] for t in range(n_y) if W[r, t] != 0.0}, h[r])
-        exprs = []
-        for j in range(m):
-            terms = {}
-            for t in range(n_y):
-                if Q[t, j] != 0.0:
-                    terms[y[t]] = terms.get(y[t], 0.0) + Q[t, j]
-            for g, coef in cols[j].items():
-                terms[g] = terms.get(g, 0.0) - coef
-            exprs.append((terms, 0.0))
-        b.add_norm_le(exprs, lam, dual, tag=f"[{i}]")
-    return b.build()
+            a.b.add_ge({v: c for v, c in zip(y, W[r]) if c != 0.0}, h[r])
+        a.block(s[i], p.support, xi, dict(zip(y, Q @ xi)), 0.0,
+                _combination(y, -Q.T), f"[{i}]")
+    return a.build()
 
 
 def build_separable(p: DroProblem) -> LinearProgram:
@@ -635,39 +588,12 @@ def build_separable(p: DroProblem) -> LinearProgram:
     if not isinstance(p.loss, SeparableLoss):
         raise DimensionMismatch("build_separable expects a separable loss")
     sep = p.loss
-    N = p.n_samples
-    dual = p.norm.dual.value
-
-    b = LpBuilder("min")
-    lam = b.var("lam", lb=0.0)
-    obj = {lam: p.radius}
-    slices = sep.stage_slices()
-    for t, (loss, support) in enumerate(sep.stages):
+    a = _Assembler(p.radius, p.norm)
+    for t, ((loss, support), sl) in enumerate(zip(sep.stages, sep.stage_slices())):
         _check_support_nonempty(support)
-        loss = loss.deduplicated()
-        m_t, K = loss.dim, loss.n_pieces
-        s = b.vars(f"s[{t}]", N)
-        for si in s:
-            obj[si] = 1.0 / N
-        for i in range(N):
-            xi = p.samples[i, slices[t]]
-            base = loss.slopes @ xi + loss.intercepts
-            for k in range(K):
-                if support.is_free:
-                    b.add_le({s[i]: -1.0}, -base[k])
-                else:
-                    epi, cols = _support_terms(b, support, xi, f"[{t},{i},{k}]")
-                    row = dict(epi)
-                    row[s[i]] = row.get(s[i], 0.0) - 1.0
-                    b.add_le(row, -base[k])
-                    exprs = [(cols[j], -loss.slopes[k, j]) for j in range(m_t)]
-                    b.add_norm_le(exprs, lam, dual, tag=f"[{t},{i},{k}]")
-        if support.is_free:
-            for k in range(K):
-                exprs = [({}, -loss.slopes[k, j]) for j in range(m_t)]
-                b.add_norm_le(exprs, lam, dual, tag=f"[{t},{k}]")
-    b.set_objective(obj)
-    return b.build()
+        s = a.epigraph(p.n_samples, f"s[{t}]")
+        _max_affine_blocks(a, s, loss, support, p.samples[:, sl], f"{t},")
+    return a.build()
 
 
 def convex_closed_form(p: DroProblem) -> float:
@@ -708,7 +634,12 @@ def solve_worst_case(
 ) -> tuple[float, LpSolution]:
     """Build, solve and interpret the reformulation.  An unbounded program
     means the worst-case expectation is +inf."""
-    lp = _builder_for(p.loss)(p)
+    return _solve_program(_builder_for(p.loss)(p), config)
+
+
+def _solve_program(
+    lp: LinearProgram, config: SolverConfig | None = None
+) -> tuple[float, LpSolution]:
     sol = solve_lp(lp, config)
     if sol.status == "optimal":
         return sol.objective_value, sol

@@ -1,5 +1,4 @@
-"""Discrete distributions, exact 1-Wasserstein distances and the
-Kantorovich-Rubinstein dual lower bound.
+"""Discrete distributions and exact 1-Wasserstein distances.
 
 Distances between finitely supported distributions are transportation
 LPs solved on the embedded simplex, which keeps a single solver to trust
@@ -13,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SlopeTooLarge, TooLarge
-from .geometry import GroundNorm, dual_norm_value, norm_value
+from .errors import DimensionMismatch, TooLarge
+from .geometry import GroundNorm
 from .lp import LpBuilder
 from .simplex import solve_lp
 
@@ -23,7 +22,6 @@ __all__ = [
     "TransportPlan",
     "merge_atoms",
     "wasserstein_distance",
-    "kr_dual_lower_bound",
 ]
 
 _MAX_ATOMS = 200
@@ -135,32 +133,3 @@ def wasserstein_distance(
     flow = np.array([[b.value_of(sol, f[i][j]) for j in range(nt)] for i in range(ns)])
     cost = float(np.sum(flow * dist))
     return cost, TransportPlan(flow=flow, cost=cost)
-
-
-def kr_dual_lower_bound(
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    slopes: np.ndarray,
-    norm: GroundNorm,
-) -> float:
-    """Best lower bound on the 1-Wasserstein distance from affine test
-    functions x -> <theta, x> with ||theta||_dual <= 1 (the 1-Lipschitz
-    certificates among affine functions):  max |<theta, mean_p - mean_q>|.
-
-    Raises SlopeTooLarge when a candidate exceeds the Lipschitz budget.
-    """
-    if p.dim != q.dim:
-        raise DimensionMismatch("distributions live in different dimensions")
-    slopes = np.atleast_2d(np.asarray(slopes, dtype=float))
-    if slopes.shape[0] == 0:
-        return 0.0
-    if slopes.shape[1] != p.dim:
-        raise DimensionMismatch("slope length does not match atom dimension")
-    gap = p.mean() - q.mean()
-    best = 0.0
-    for theta in slopes:
-        lip = dual_norm_value(theta, norm)
-        if lip > 1.0 + 1e-12:
-            raise SlopeTooLarge(f"dual norm {lip} exceeds the 1-Lipschitz budget")
-        best = max(best, abs(float(theta @ gap)))
-    return best

@@ -62,6 +62,23 @@ class TestSolve:
         digits = digits.split("e")[0].lstrip("0")
         assert len(digits) <= 12
 
+    def test_program_is_built_once(self, tmp_path, capsys, monkeypatch):
+        from wdro.lp import LpBuilder
+
+        builds = []
+        build = LpBuilder.build
+        monkeypatch.setattr(
+            LpBuilder, "build", lambda self: builds.append(1) or build(self)
+        )
+        lp_path = tmp_path / "program.txt"
+        code = main(["solve", "--spec", write_spec(tmp_path, hinge_spec(0.5)),
+                     "--dump-lp", str(lp_path)])
+        assert code == 0
+        assert len(builds) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == pytest.approx(0.5, abs=1e-10)
+        assert out["lp_stats"]["iterations"] >= 1
+
     def test_epsilon_flag_overrides_radius(self, tmp_path, capsys):
         code = main(
             ["solve", "--spec", write_spec(tmp_path, hinge_spec(0.1)),

@@ -11,7 +11,7 @@ generic worst-/best-case programs.
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, norm
 
 from wdro.errors import (
     DimensionMismatch,
@@ -256,7 +256,64 @@ class TestOrthantOracle:
             gaussian_orthant_upper(np.zeros(4), np.eye(4))
 
 
+    @pytest.mark.parametrize(
+        "weights, zero_row",
+        [({7: 1.0}, 0), ({8: 1.0}, 1), ({7: 0.4, 8: 0.6}, None)],
+        ids=["e7", "e8", "e7-e8-mix"],
+    )
+    def test_singular_leading_block(self, weights, zero_row):
+        # outperforming assets 7, 8, 9 with weights on 7 and 8 only: the
+        # first two event rows are zero or collinear, so the leading 2x2
+        # covariance block is singular
+        market = MarketModel()
+        x = np.zeros(market.m)
+        for i, w in weights.items():
+            x[i] = w
+        G = outperformance_region(x, (7, 8, 9)).C
+        mu, cov = -G @ market.mean(), G @ market.covariance() @ G.T
+        got = gaussian_orthant_upper(mu, cov)
+        if zero_row is None:
+            # Z_0 and Z_1 are opposite multiples of one normal: both are
+            # nonnegative only on a null set
+            expected = 0.0
+        else:
+            # the zero row has mean 0 and variance 0, so it holds surely
+            keep = [r for r in range(3) if r != zero_row]
+            expected = multivariate_normal(
+                mean=-mu[keep], cov=cov[np.ix_(keep, keep)]
+            ).cdf(np.zeros(2))
+            assert 0.01 < expected < 0.99
+        assert got == pytest.approx(expected, abs=1e-6)
+
+    def test_rank_one_covariance_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            gaussian_orthant_upper(np.zeros(3), np.ones((3, 3)))
+
+
 class TestFastUqBounds:
+    def test_calibration_solves_one_lp_per_distinct_sample(self, monkeypatch):
+        import wdro.experiments as experiments
+        from wdro.calibrate import calibrate_uq_kfold
+
+        calls = []
+        nearest = experiments.nearest_point
+
+        def counting(region, point, norm_g):
+            calls.append(1)
+            return nearest(region, point, norm_g)
+
+        monkeypatch.setattr(experiments, "nearest_point", counting)
+        market = MarketModel()
+        data = market.sample(30, np.random.default_rng(12))
+        region = outperformance_region(np.full(market.m, 0.1), (7, 8, 9))
+        outside = {row.tobytes() for row in data[region.violation(data) > 0.0]}
+        assert len(outside) >= 5
+        calibrate_uq_kfold(
+            data, region, (1e-3, 1e-2, 1e-1), k=5, seed=3,
+            bound_fns=fast_uq_bounds(region, GroundNorm.L1),
+        )
+        assert 0 < len(calls) <= len(outside)
+
     def test_agrees_with_generic_programs(self):
         rng = np.random.default_rng(9)
         checked = 0

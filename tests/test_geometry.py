@@ -1,8 +1,8 @@
 """Norm, polytope and vertex-enumeration tests.
 
-Box supports admit closed-form support functions and projections, which
-gives exact oracles; vertex enumeration is checked against an LP solve
-over the same set (optimum must be attained at an enumerated vertex).
+Box supports admit closed-form projections, which give exact oracles;
+vertex enumeration is checked against an LP solve over the same set
+(optimum must be attained at an enumerated vertex).
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from wdro.errors import (
     DimensionMismatch,
-    EmptySupport,
     NormUnsupported,
     TooLarge,
     UnboundedPolyhedron,
@@ -24,7 +23,6 @@ from wdro.geometry import (
     enumerate_vertices,
     nearest_point,
     norm_value,
-    support_function,
 )
 from wdro.lp import LpBuilder
 from wdro.simplex import solve_lp
@@ -89,34 +87,6 @@ class TestPolytope:
             Polytope(np.ones((1, 2)), np.ones(1), dim=3)
         with pytest.raises(DimensionMismatch):
             Polytope.box([0.0], [1.0, 2.0])
-
-
-class TestSupportFunction:
-    def test_free_space(self):
-        p = Polytope.free(2)
-        assert support_function(p, np.zeros(2)) == 0.0
-        assert support_function(p, np.array([1.0, 0.0])) == np.inf
-
-    def test_box_closed_form(self):
-        rng = np.random.default_rng(60)
-        for _ in range(25):
-            dim = int(rng.integers(1, 5))
-            lo = rng.uniform(-3, 0, dim)
-            hi = lo + rng.uniform(0.1, 3, dim)
-            z = rng.uniform(-2, 2, dim)
-            expect = float(np.sum(np.where(z >= 0, z * hi, z * lo)))
-            got = support_function(Polytope.box(lo, hi), z)
-            assert got == pytest.approx(expect, abs=1e-8)
-
-    def test_halfline_unbounded_direction(self):
-        p = Polytope.halfspaces([[1.0]], [1.0])  # x <= 1
-        assert support_function(p, np.array([1.0])) == pytest.approx(1.0)
-        assert support_function(p, np.array([-1.0])) == np.inf
-
-    def test_empty_support_raises(self):
-        p = Polytope.halfspaces([[1.0], [-1.0]], [-1.0, -1.0])
-        with pytest.raises(EmptySupport):
-            support_function(p, np.array([1.0]))
 
 
 class TestNearestPoint:

@@ -20,6 +20,7 @@ from wdro.errors import (
     SampleOutsideSupport,
     SupportNotFullSpace,
 )
+from wdro.experiments import MarketModel, PortfolioSpec, build_portfolio_dro, solve_portfolio
 from wdro.geometry import GroundNorm, Polytope, dual_norm_value
 from wdro.reformulate import (
     DroProblem,
@@ -632,11 +633,64 @@ class TestFreeSupportDedup:
 
     def test_uq_collapsed_rows_match_boxed_program(self):
         rng = np.random.default_rng(51)
-        region = Polytope(rng.normal(size=(2, 2)), rng.normal(size=2), 2)
+        C, d = rng.normal(size=(2, 2)), rng.normal(size=2)
         X = rng.normal(size=(5, 2))
         huge = Polytope.box([-1e5, -1e5], [1e5, 1e5])
-        for sense in ("outside", "inside"):
-            ind = EventIndicator(region, sense)
-            v_free = value_of(DroProblem(X, Polytope.free(2), 0.2, L1, ind))
-            v_box = value_of(DroProblem(X, huge, 0.2, L1, ind))
-            assert v_free == pytest.approx(v_box, abs=1e-6)
+        # every sample lies outside the first region and inside the second
+        for region in (Polytope(C, d, 2), Polytope(C, d + 3.5, 2)):
+            for norm in (L1, LINF):
+                for sense in ("outside", "inside"):
+                    ind = EventIndicator(region, sense)
+                    v_free = value_of(DroProblem(X, Polytope.free(2), 0.2, norm, ind))
+                    v_box = value_of(DroProblem(X, huge, 0.2, norm, ind))
+                    assert v_free == pytest.approx(v_box, abs=1e-6)
+
+    @pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+    @pytest.mark.parametrize(
+        "kind", ["min_affine", "two_stage_objective", "two_stage_rhs", "separable"]
+    )
+    def test_free_and_huge_box_agree_for_every_builder(self, kind, norm):
+        rng = np.random.default_rng(52)
+        X = rng.uniform(-1.0, 1.0, size=(4, 3))
+        free, huge = Polytope.free(3), Polytope.box([-1e3] * 3, [1e3] * 3)
+        if kind == "min_affine":
+            loss = PiecewiseAffineLoss(rng.normal(size=(3, 3)), rng.normal(size=3), "min")
+            losses = [loss, loss]
+        elif kind == "two_stage_objective":
+            W = np.vstack([np.eye(2), -np.eye(2)])
+            loss = TwoStageLoss("objective", W, -np.ones(4), Q=rng.normal(size=(2, 3)))
+            losses = [loss, loss]
+        elif kind == "two_stage_rhs":
+            loss = TwoStageLoss(
+                "rhs", rng.uniform(0.5, 1.5, size=(3, 1)), rng.normal(size=3),
+                q=[1.0], H=rng.normal(size=(3, 3)),
+            )
+            losses = [loss, loss]
+        else:
+            # the box goes on each stage; the overall support stays free
+            stages = [
+                PiecewiseAffineLoss(rng.normal(size=(2, 1)), rng.normal(size=2))
+                for _ in range(3)
+            ]
+            losses = [
+                SeparableLoss(tuple((st, sup) for st in stages))
+                for sup in (Polytope.free(1), Polytope.box([-1e3], [1e3]))
+            ]
+            huge = free
+        v_free = value_of(DroProblem(X, free, 0.3, norm, losses[0]))
+        v_box = value_of(DroProblem(X, huge, 0.3, norm, losses[1]))
+        assert v_free == pytest.approx(v_box, abs=1e-6)
+
+    @pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+    def test_portfolio_joint_program_matches_shortcut_and_huge_box(self, norm):
+        market = MarketModel(m=4)
+        data = market.sample(6, np.random.default_rng(53))
+        free = PortfolioSpec(m=4, ground_norm=norm)
+        boxed = PortfolioSpec(m=4, ground_norm=norm, support=Polytope.box([-1e3] * 4, [1e3] * 4))
+        for eps in (0.0, 0.02, 0.3):
+            joint = solve_lp(build_portfolio_dro(free, data, eps))
+            assert joint.is_optimal
+            shortcut = solve_portfolio(free, data, eps).certificate
+            in_box = solve_portfolio(boxed, data, eps).certificate
+            assert joint.objective_value == pytest.approx(shortcut, abs=1e-7)
+            assert in_box == pytest.approx(shortcut, abs=1e-6)

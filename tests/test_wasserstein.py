@@ -2,19 +2,17 @@
 
 Two independent oracles: the classical one-dimensional identity (the
 distance equals the area between the two distribution functions) and a
-scipy transportation solve.  The Kantorovich-Rubinstein bound must never
-exceed the exact distance.
+scipy transportation solve.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from wdro.errors import DimensionMismatch, SlopeTooLarge
+from wdro.errors import DimensionMismatch
 from wdro.geometry import GroundNorm
 from wdro.wasserstein import (
     DiscreteDistribution,
-    kr_dual_lower_bound,
     merge_atoms,
     wasserstein_distance,
 )
@@ -158,39 +156,3 @@ class TestWassersteinDistance:
         b = DiscreteDistribution(np.zeros((1, 2)), np.array([1.0]))
         with pytest.raises(DimensionMismatch):
             wasserstein_distance(a, b, L1)
-
-
-class TestKrDualBound:
-    def test_never_exceeds_distance(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            dim = int(rng.integers(1, 4))
-            p = random_distribution(rng, 4, dim)
-            q = random_distribution(rng, 4, dim)
-            for norm in (L1, LINF):
-                raw = rng.uniform(-1, 1, size=(5, dim))
-                slopes = []
-                for theta in raw:
-                    scale = max(
-                        1.0,
-                        np.abs(theta).max() if norm is L1 else np.abs(theta).sum(),
-                    )
-                    slopes.append(theta / scale)
-                bound = kr_dual_lower_bound(p, q, np.array(slopes), norm)
-                dist, _ = wasserstein_distance(p, q, norm)
-                assert bound <= dist + 1e-9
-
-    def test_sharp_on_shifted_diracs(self):
-        a = DiscreteDistribution(np.array([[0.0]]), np.array([1.0]))
-        b = DiscreteDistribution(np.array([[2.0]]), np.array([1.0]))
-        bound = kr_dual_lower_bound(a, b, np.array([[1.0]]), L1)
-        assert bound == pytest.approx(2.0)
-
-    def test_slope_budget_enforced(self):
-        a = DiscreteDistribution(np.array([[0.0, 0.0]]), np.array([1.0]))
-        with pytest.raises(SlopeTooLarge):
-            kr_dual_lower_bound(a, a, np.array([[1.5, 0.0]]), L1)
-
-    def test_empty_slope_list(self):
-        a = DiscreteDistribution(np.array([[0.0]]), np.array([1.0]))
-        assert kr_dual_lower_bound(a, a, np.zeros((0, 1)), L1) == 0.0
