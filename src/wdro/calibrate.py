@@ -8,10 +8,13 @@ smallest radius whose training-data bound covers the validation-data
 frequency.
 
 Data-driven selections always tie-break toward the smaller radius (less
-conservatism).  The averaged k-fold radius may fall between grid points;
-per-fold radii are always grid members and are recorded alongside the
-shuffled partition so a run can be audited and reproduced from (seed,
-grid, k) alone.
+conservatism).  Validation scores within ``SCORE_TIE_RTOL * (1 + |best|)``
+(1e-9 relative) of the best score are ties: optimal decisions are
+piecewise constant in the radius, so neighbouring radii often return the
+same decision, and their scores then differ only by rounding.  The
+averaged k-fold radius may fall between grid points; per-fold radii are
+always grid members and are recorded alongside the shuffled partition so
+a run can be audited and reproduced from (seed, grid, k) alone.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .reformulate import DroProblem, EventIndicator, worst_case_value
 
 __all__ = [
     "DEFAULT_GRID",
+    "SCORE_TIE_RTOL",
     "ConcentrationConfig",
     "CalibrationResult",
     "UqBound",
@@ -45,6 +49,9 @@ __all__ = [
 
 # documented default; override via the grid argument of any calibrator
 DEFAULT_GRID = tuple(float(x) for x in np.geomspace(1e-4, 1.0, 30))
+
+# relative tolerance under which validation scores tie; see the module docstring
+SCORE_TIE_RTOL = 1e-9
 
 
 class DecisionProblem(Protocol):
@@ -130,11 +137,10 @@ def _clean_grid(grid) -> tuple[float, ...]:
 
 
 def _argmin_smallest(grid, scores) -> float:
-    best_eps, best_score = grid[0], scores[0]
-    for eps, sc in zip(grid[1:], scores[1:]):
-        if sc < best_score:
-            best_eps, best_score = eps, sc
-    return best_eps
+    """The smallest radius whose score is within SCORE_TIE_RTOL of the best."""
+    best = min(scores)
+    tol = SCORE_TIE_RTOL * (1.0 + abs(best))
+    return next(eps for eps, sc in zip(grid, scores) if sc <= best + tol)
 
 
 def calibrate_holdout(
@@ -145,9 +151,10 @@ def calibrate_holdout(
     seed: int = 0,
 ) -> CalibrationResult:
     """Train at every candidate radius on a shuffled training part, score
-    on the rest, keep the radius with the best validation score (ties go
-    to the smallest radius).  The returned decision is the one trained on
-    the training part at the selected radius."""
+    on the rest, keep the radius with the best validation score (ties,
+    within SCORE_TIE_RTOL, go to the smallest radius).  The returned
+    decision is the one trained on the training part at the selected
+    radius."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     grid = _clean_grid(grid)
     if not (0.0 < split < 1.0):

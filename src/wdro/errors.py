@@ -36,7 +36,8 @@ class UnboundedPolyhedron(WdroError):
 
 
 class TooLarge(WdroError):
-    """A combinatorial routine would exceed its configured size cap."""
+    """A routine would exceed its size cap: a combinatorial enumeration, or
+    a dense program past ``lp.MAX_DENSE_BYTES``."""
 
 
 class NormUnsupported(WdroError):

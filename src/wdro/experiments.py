@@ -143,9 +143,13 @@ class PortfolioSpec:
 
 @dataclass(frozen=True)
 class PortfolioResult:
+    """``basis`` is the optimal basis of the solve, for ``warm`` in
+    :func:`solve_portfolio`."""
+
     weights: np.ndarray
     tau: float
     certificate: float
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def build_portfolio_dro(
@@ -181,7 +185,7 @@ def build_portfolio_dro(
     return a.build()
 
 
-def _solve_portfolio_free(spec, data, epsilon):
+def _solve_portfolio_free(spec, data, epsilon, warm=None):
     """Free-support shortcut: the optimal multiplier is known to be
     max_k |a_k| times the dual norm of x, so the program shrinks to the
     sample mean-CVaR plus a norm-of-weights penalty.  Equivalent to the
@@ -215,32 +219,32 @@ def _solve_portfolio_free(spec, data, epsilon):
             b.add_le({x[j]: 1.0, t: -1.0}, 0.0)
     else:
         b.add_le({xj: 1.0 for xj in x} | {t: -1.0}, 0.0)
-    lp = b.build()
-    sol = solve_lp(lp)
-    if not sol.is_optimal:
-        raise WdroError(f"portfolio program ended {sol.status}")
-    w = sol.primal[: m]
-    return PortfolioResult(
-        weights=w.copy(), tau=float(sol.primal[m]), certificate=sol.objective_value
-    )
+    return _portfolio_result(b.build(), m, warm)
 
 
-def solve_portfolio(
-    spec: PortfolioSpec, data: np.ndarray, epsilon: float
-) -> PortfolioResult:
-    """Optimal weights, CVaR threshold and certificate at one radius."""
-    if spec.resolved_support().is_free:
-        return _solve_portfolio_free(spec, data, epsilon)
-    lp = build_portfolio_dro(spec, data, epsilon)
-    sol = solve_lp(lp)
+def _portfolio_result(lp: LinearProgram, m: int, warm) -> PortfolioResult:
+    """Solve a portfolio program whose first m + 1 columns are (x, tau)."""
+    sol = solve_lp(lp, warm=warm)
     if not sol.is_optimal:
         raise WdroError(f"portfolio program ended {sol.status}")
-    m = spec.m
     return PortfolioResult(
         weights=sol.primal[:m].copy(),
         tau=float(sol.primal[m]),
         certificate=sol.objective_value,
+        basis=sol.basis,
     )
+
+
+def solve_portfolio(
+    spec: PortfolioSpec, data: np.ndarray, epsilon: float, warm=None
+) -> PortfolioResult:
+    """Optimal weights, CVaR threshold and certificate at one radius.
+
+    ``warm`` is the ``basis`` of an earlier result on the same spec and
+    data; the solve starts from it (see :func:`wdro.simplex.solve_lp`)."""
+    if spec.resolved_support().is_free:
+        return _solve_portfolio_free(spec, data, epsilon, warm)
+    return _portfolio_result(build_portfolio_dro(spec, data, epsilon), spec.m, warm)
 
 
 def empirical_cvar(losses: np.ndarray, alpha: float) -> float:
@@ -286,13 +290,26 @@ def out_of_sample_objective(
 
 class PortfolioDecisionProblem:
     """Calibration adapter: train at a radius, score by the validation
-    sample mean-CVaR."""
+    sample mean-CVaR.
+
+    The adapter remembers its last training samples and result.  Training
+    again on equal samples, as a radius sweep does, warm-starts the solve
+    from the last optimal basis; only the radius cost differs, so the
+    answer is the same to solver tolerance.  The memory lives on the
+    instance, so separate instances never share a starting point."""
 
     def __init__(self, spec: PortfolioSpec):
         self.spec = spec
+        self._last: tuple[np.ndarray, PortfolioResult] | None = None
 
     def train(self, samples, epsilon) -> PortfolioResult:
-        return solve_portfolio(self.spec, samples, float(epsilon))
+        samples = np.array(samples, dtype=float)
+        warm = None
+        if self._last is not None and np.array_equal(self._last[0], samples):
+            warm = self._last[1].basis
+        result = solve_portfolio(self.spec, samples, float(epsilon), warm)
+        self._last = (samples, result)
+        return result
 
     def score(self, decision: PortfolioResult, samples) -> float:
         return portfolio_empirical_objective(self.spec, decision.weights, samples)
@@ -583,7 +600,7 @@ def run_portfolio_study(config: PortfolioStudyConfig) -> StudyReport:
             data = market.sample(N, np.random.default_rng(data_seq))
             if N in config.n_curve:
                 for eps in config.epsilons:
-                    res = solve_portfolio(spec, data, eps)
+                    res = template.train(data, eps)
                     oos = out_of_sample_objective(res.weights, spec, market)
                     curve_rows.append(
                         (r, N, float(eps), res.certificate, oos,

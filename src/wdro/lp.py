@@ -24,9 +24,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MalformedProgram
+from .errors import MalformedProgram, TooLarge
 
 __all__ = [
+    "MAX_DENSE_BYTES",
     "LinearProgram",
     "LpSolution",
     "SolverConfig",
@@ -37,6 +38,24 @@ __all__ = [
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
+
+# Byte limit on the dense storage of one program and its simplex engine.
+# An m x n program takes 8*m*(2n + 3m) bytes at most: its row matrix, the
+# engine's copy widened by one slack and up to one artificial column per
+# row, and the m x m basis inverse.  The largest programs the studies and
+# the tests build (1261 x 642) take about 51 MB.
+MAX_DENSE_BYTES = 2**30
+
+
+def _check_dense_size(m: int, n: int) -> None:
+    """Raise TooLarge, before anything is allocated, for an m x n program
+    whose dense storage would exceed MAX_DENSE_BYTES."""
+    need = 8 * m * (2 * n + 3 * m)
+    if need > MAX_DENSE_BYTES:
+        raise TooLarge(
+            f"a dense {m} x {n} program needs about {need / 2**30:.1f} GiB; "
+            f"the limit is {MAX_DENSE_BYTES / 2**30:.1f} GiB"
+        )
 
 
 @dataclass(frozen=True)
@@ -107,6 +126,11 @@ class LpSolution:
     ``ray`` is an improving recession direction and ``primal`` a feasible
     point from which it emanates.  On "infeasible" ``duals`` carries the
     phase-one multipliers, a Farkas-style certificate.
+
+    ``basis`` is set on "optimal" only: the pair (basic column of each row,
+    whether each column sits at its upper bound), over the structural
+    columns followed by one slack per row.  Pass it as ``warm`` to
+    ``solve_lp`` to start a related program from it.
     """
 
     status: str
@@ -115,6 +139,7 @@ class LpSolution:
     duals: np.ndarray | None
     ray: np.ndarray | None
     iterations: int
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def is_optimal(self) -> bool:
@@ -254,6 +279,7 @@ class LpBuilder:
 
     def build(self) -> LinearProgram:
         n, m = len(self._names), len(self._rows)
+        _check_dense_size(m, n)
         c = np.zeros(n)
         for j, t in self._obj.items():
             c[j] = t

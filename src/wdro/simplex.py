@@ -27,6 +27,19 @@ not returned.  The engine refactorizes, restores primal feasibility from
 the current basis with a single artificial column and resumes phase two;
 the second restart forces Bland's rule, and a third failure raises
 ``NumericalBreakdown``.
+
+Warm starts.  An optimal solution carries its basis: the basic column of
+each row and the bound side of every nonbasic column.  Passed back as
+``warm``, it replaces phase one: the artificial columns are fixed at zero,
+the basis is installed with each nonbasic column at its recorded bound,
+and the same restart that repairs a failed check refactorizes it and
+restores primal feasibility if the basis is infeasible for the new
+program.  Phase two and the final check then run as in a cold solve.
+Radius sweeps gain most: the radius enters a reformulation only as one
+cost coefficient, so the previous optimal basis stays primal feasible and
+phase two starts next to the new optimum.  A basis that does not fit (wrong
+length, an artificial column basic, singular, or beyond repair) is dropped
+and the solve starts cold.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .lp import GE, LE, LinearProgram, LpSolution, SolverConfig
+from .lp import GE, LE, LinearProgram, LpSolution, SolverConfig, _check_dense_size
 
 __all__ = ["solve_lp"]
 
@@ -54,6 +67,7 @@ class _Engine:
         self.cfg = cfg
         self.flip = lp.sense == "max"
         m, n = lp.n_rows, lp.n_vars
+        _check_dense_size(m, n)
         self.m, self.n_struct = m, n
 
         slack_lo, slack_hi = _slack_bounds(lp.row_relations)
@@ -310,6 +324,24 @@ class _Engine:
             raise NumericalBreakdown("could not restore primal feasibility")
         self.drop_artificials()
 
+    def warm_start(self, basis: np.ndarray, at_upper: np.ndarray) -> None:
+        """Replace phase one by a given basis of real columns (see the
+        module docstring); raises NumericalBreakdown if it is singular or
+        cannot be made primal feasible."""
+        n_real = self.n_struct + self.m
+        art = np.arange(n_real, self.n_tot)
+        self.lo[art] = self.hi[art] = self.x[art] = 0.0
+        self.fixed[art] = True
+        self.status[art] = _AT_LOWER
+        lo, hi = self.lo[:n_real], self.hi[:n_real]
+        up = np.isfinite(hi) & (at_upper | ~np.isfinite(lo))
+        down = np.isfinite(lo) & ~up
+        self.x[:n_real] = np.where(up, hi, np.where(down, lo, 0.0))
+        self.status[:n_real] = np.where(up, _AT_UPPER, np.where(down, _AT_LOWER, _FREE))
+        self.basis = basis.astype(np.int64)
+        self.status[self.basis] = _BASIC
+        self.restart()
+
     def raw_duals(self, c: np.ndarray) -> np.ndarray:
         return self.B_inv.T @ c[self.basis] if self.m else np.zeros(0)
 
@@ -355,28 +387,52 @@ def _certifies_optimal(
     return abs(primal_obj - dual_obj) <= cfg.gap_tol * (1.0 + abs(primal_obj))
 
 
-def solve_lp(lp: LinearProgram, config: SolverConfig | None = None) -> LpSolution:
+def _warm_engine(lp: LinearProgram, cfg: SolverConfig, warm) -> _Engine | None:
+    """An engine started from the basis ``warm``, or None if it does not fit."""
+    basis, at_upper = (np.asarray(part) for part in warm)
+    n_real = lp.n_vars + lp.n_rows
+    if basis.shape != (lp.n_rows,) or at_upper.shape != (n_real,):
+        return None
+    if basis.size and (basis.min() < 0 or basis.max() >= n_real):
+        return None
+    eng = _Engine(lp, cfg)
+    try:
+        eng.warm_start(basis, at_upper.astype(bool))
+    except NumericalBreakdown:
+        return None
+    return eng
+
+
+def solve_lp(
+    lp: LinearProgram, config: SolverConfig | None = None, warm=None
+) -> LpSolution:
     """Solve a dense LP; see the module docstring for conventions.
 
-    Returns an optimal basic solution with row duals, an infeasibility
-    verdict carrying the phase-one multipliers as a Farkas-style
-    certificate, or a feasible point plus an improving ray when the
-    program is unbounded.
+    Returns an optimal basic solution with row duals and its basis, an
+    infeasibility verdict carrying the phase-one multipliers as a
+    Farkas-style certificate, or a feasible point plus an improving ray
+    when the program is unbounded.
+
+    ``warm`` is the ``basis`` of an earlier optimal solution, typically of
+    the same constraints under other costs.  The solve then starts from it
+    rather than from phase one; a basis that does not fit this program is
+    ignored.  Either way the answer passes the same final check.
     """
     cfg = config or SolverConfig()
-    eng = _Engine(lp, cfg)
-
-    ph1 = eng.phase_one()
-    if ph1 > cfg.feas_tol:
-        return LpSolution(
-            status="infeasible",
-            objective_value=float("nan"),
-            primal=None,
-            duals=eng.raw_duals(eng.ph1_cost),
-            ray=None,
-            iterations=eng.iterations,
-        )
-    eng.drop_artificials()
+    eng = _warm_engine(lp, cfg, warm) if warm is not None else None
+    if eng is None:
+        eng = _Engine(lp, cfg)
+        ph1 = eng.phase_one()
+        if ph1 > cfg.feas_tol:
+            return LpSolution(
+                status="infeasible",
+                objective_value=float("nan"),
+                primal=None,
+                duals=eng.raw_duals(eng.ph1_cost),
+                ray=None,
+                iterations=eng.iterations,
+            )
+        eng.drop_artificials()
 
     outcome = eng.phase_two()
     # Restart after a failed check; the second restart runs under Bland's rule.
@@ -409,4 +465,5 @@ def solve_lp(lp: LinearProgram, config: SolverConfig | None = None) -> LpSolutio
         duals=-y if eng.flip else y,
         ray=None,
         iterations=eng.iterations,
+        basis=(eng.basis.copy(), eng.status[: eng.n_struct + eng.m] == _AT_UPPER),
     )

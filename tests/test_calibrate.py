@@ -7,6 +7,7 @@ import pytest
 
 from wdro.calibrate import (
     DEFAULT_GRID,
+    SCORE_TIE_RTOL,
     CalibrationResult,
     ConcentrationConfig,
     calibrate_holdout,
@@ -90,6 +91,38 @@ class ValidationMeanSeeking:
 
     def score(self, decision, samples):
         return (decision - float(np.mean(samples))) ** 2
+
+
+class FixedScores:
+    """Training returns the radius; each radius has a fixed score."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def train(self, samples, epsilon):
+        return float(epsilon)
+
+    def score(self, decision, samples):
+        return self.scores[decision]
+
+
+class TestScoreTies:
+    DATA = np.linspace(-1.0, 1.0, 12).reshape(-1, 1)
+
+    def test_rounding_noise_is_a_tie(self):
+        # the larger radius scores 1 ulp better
+        scores = {0.1: 1.0, 0.2: np.nextafter(1.0, 0.0), 0.4: 2.0}
+        problem = FixedScores(scores)
+        assert calibrate_holdout(self.DATA, problem, grid=list(scores)).radius == 0.1
+        res = calibrate_kfold(self.DATA, problem, grid=list(scores), k=3)
+        assert res.fold_radii == (0.1, 0.1, 0.1)
+
+    def test_a_better_score_beyond_the_tolerance_wins(self):
+        scores = {0.1: 1.0, 0.2: 1.0 - 3 * SCORE_TIE_RTOL, 0.4: 2.0}
+        problem = FixedScores(scores)
+        assert calibrate_holdout(self.DATA, problem, grid=list(scores)).radius == 0.2
+        res = calibrate_kfold(self.DATA, problem, grid=list(scores), k=3)
+        assert res.fold_radii == (0.2, 0.2, 0.2)
 
 
 class TestHoldout:

@@ -13,6 +13,8 @@ import pytest
 from scipy.optimize import linprog
 from scipy.stats import multivariate_normal, norm
 
+import wdro.experiments as experiments
+from wdro.calibrate import calibrate_kfold
 from wdro.errors import (
     DimensionMismatch,
     HypothesisViolated,
@@ -292,7 +294,6 @@ class TestOrthantOracle:
 
 class TestFastUqBounds:
     def test_calibration_solves_one_lp_per_distinct_sample(self, monkeypatch):
-        import wdro.experiments as experiments
         from wdro.calibrate import calibrate_uq_kfold
 
         calls = []
@@ -420,6 +421,33 @@ class TestDecisionAdapter:
         )
 
 
+    def test_kfold_radii_do_not_depend_on_warm_starts(self, monkeypatch):
+        spec = PortfolioSpec()
+        data = MarketModel().sample(40, np.random.default_rng(19))
+        grid = tuple(np.geomspace(1e-3, 1.0, 7))
+        warm = calibrate_kfold(data, PortfolioDecisionProblem(spec), grid, seed=2)
+        monkeypatch.setattr(
+            experiments, "solve_lp", lambda lp, config=None, warm=None: solve_lp(lp, config)
+        )
+        cold = calibrate_kfold(data, PortfolioDecisionProblem(spec), grid, seed=2)
+        assert warm.fold_radii == cold.fold_radii
+        assert warm.radius == cold.radius
+
+    def test_train_warm_starts_only_on_equal_samples(self, monkeypatch):
+        seen = []
+
+        def recording(spec, data, epsilon, warm=None):
+            seen.append(warm is not None)
+            return solve_portfolio(spec, data, epsilon, warm)
+
+        monkeypatch.setattr(experiments, "solve_portfolio", recording)
+        problem = PortfolioDecisionProblem(PortfolioSpec(m=3))
+        data = MarketModel(m=3).sample(12, np.random.default_rng(13))
+        for samples, eps in ((data, 0.1), (data.copy(), 0.2), (data[:-1], 0.2), (data, 0.2)):
+            problem.train(samples, eps)
+        assert seen == [False, True, False, False]
+
+
 @pytest.fixture(scope="module")
 def report():
     cfg = PortfolioStudyConfig(
@@ -460,6 +488,21 @@ class TestPortfolioStudy:
         paths_b = run_portfolio_study(cfg).write(second)
         for key in paths_a:
             assert paths_a[key].read_bytes() == paths_b[key].read_bytes()
+
+    def test_warm_starts_change_nothing_beyond_tolerance(self, report, monkeypatch):
+        cfg, warm = report
+        monkeypatch.setattr(
+            experiments, "solve_lp", lambda lp, config=None, warm=None: solve_lp(lp, config)
+        )
+        cold = run_portfolio_study(cfg)
+        for name, radius_cols, value_cols in (
+            ("fig4_oos", (), (3, 4)),
+            ("fig6_calibration", (2, 3), (4, 5, 6)),
+        ):
+            for w, c in zip(warm.tables[name][1], cold.tables[name][1]):
+                assert [w[i] for i in radius_cols] == [c[i] for i in radius_cols]
+                for i in value_cols:
+                    assert w[i] == pytest.approx(c[i], rel=1e-9)
 
     def test_manifest_records_replay_inputs(self, report):
         cfg, rep = report

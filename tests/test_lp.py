@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,9 @@ import pytest
 from conftest import brute_force_lp, random_bounded_lp, random_general_lp, solve_with_scipy
 
 import wdro
+import wdro.experiments as experiments
 import wdro.simplex as simplex
-from wdro.errors import MalformedProgram, NumericalBreakdown
+from wdro.errors import MalformedProgram, NumericalBreakdown, TooLarge
 from wdro.experiments import MarketModel, PortfolioSpec, build_portfolio_dro
 from wdro.geometry import Polytope
 from wdro.lp import EQ, GE, LE, LinearProgram, LpBuilder, SolverConfig, dump_program
@@ -332,6 +334,154 @@ class TestDeterminism:
             if a.duals is not None:
                 assert np.array_equal(a.duals, b.duals)
             assert a.iterations == b.iterations
+
+
+def _with(lp, **changes):
+    fields = dict(
+        sense=lp.sense, costs=lp.costs, row_coeffs=lp.row_coeffs,
+        row_relations=lp.row_relations, row_rhs=lp.row_rhs,
+        lower=lp.lower, upper=lp.upper,
+    )
+    return LinearProgram(**{**fields, **changes})
+
+
+def _same_solution(a, b):
+    assert a.status == b.status
+    assert a.iterations == b.iterations
+    for x, y in ((a.primal, b.primal), (a.duals, b.duals)):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert np.array_equal(x, y)
+    assert (a.basis is None) == (b.basis is None)
+    if a.basis is not None:
+        assert all(np.array_equal(x, y) for x, y in zip(a.basis, b.basis))
+
+
+class TestWarmStart:
+    def test_cost_change_matches_cold_solve(self):
+        rng = np.random.default_rng(31)
+        cfg = SolverConfig()
+        checked = 0
+        for _ in range(120):
+            lp = random_general_lp(rng, n_max=7, m_max=7)
+            first = solve_lp(lp)
+            if not first.is_optimal:
+                continue
+            assert first.basis is not None
+            new = _with(lp, costs=np.round(rng.uniform(-2, 2, size=lp.n_vars), 2))
+            cold = solve_lp(new)
+            warm = solve_lp(new, warm=first.basis)
+            assert warm.status == cold.status
+            if cold.is_optimal:
+                obj = cold.objective_value
+                assert abs(warm.objective_value - obj) <= cfg.gap_tol * (1.0 + abs(obj))
+                y = -warm.duals if new.sense == "max" else warm.duals
+                assert simplex._certifies_optimal(new, warm.primal, y, cfg)
+                checked += 1
+        assert checked > 15
+
+    def test_rhs_change_repairs_the_old_basis(self, monkeypatch):
+        restart = simplex._Engine.restart
+        repairs = []
+
+        def counted_restart(eng):
+            n_art = eng.n_art
+            restart(eng)
+            repairs.append(eng.n_art > n_art)
+
+        monkeypatch.setattr(simplex._Engine, "restart", counted_restart)
+        rng = np.random.default_rng(37)
+        repaired = 0
+        for _ in range(200):
+            lp = random_general_lp(rng, n_max=7, m_max=7)
+            first = solve_lp(lp)
+            if not first.is_optimal:
+                continue
+            new = _with(lp, row_rhs=lp.row_rhs + np.round(rng.uniform(-1, 1, lp.n_rows), 2))
+            repairs.clear()
+            warm = solve_lp(new, warm=first.basis)
+            ref_status, ref_val, _ = solve_with_scipy(new)
+            assert warm.status == ref_status
+            if ref_status == "optimal":
+                assert warm.objective_value == pytest.approx(ref_val, abs=1e-7)
+                repaired += bool(repairs) and repairs[0]
+        assert repaired > 5  # the old basis was infeasible and restart() fixed it
+
+    def test_bases_that_do_not_fit_fall_back_to_cold(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            lp = random_general_lp(rng)
+            cold = solve_lp(lp)
+            if not cold.is_optimal:
+                continue
+            basis, at_upper = cold.basis
+            n_real = lp.n_vars + lp.n_rows
+            artificial = basis.copy()
+            artificial[0] = n_real
+            for bad in ((basis[:-1], at_upper), (basis, at_upper[:-1]), (artificial, at_upper)):
+                _same_solution(solve_lp(lp, warm=bad), cold)
+
+        # x and y are basic at the optimum of the first program; in the
+        # second, same-shaped program their columns are parallel.
+        first = _lp("max", [1, 1], [[1, 0], [0, 1]], [LE, LE], [1, 1], [0, 0], [np.inf] * 2)
+        second = _lp("max", [1, 2], [[1, 1], [2, 2]], [LE, LE], [1, 2], [0, 0], [np.inf] * 2)
+        sol = solve_lp(first)
+        assert sorted(sol.basis[0]) == [0, 1]
+        with pytest.raises(NumericalBreakdown):
+            simplex._Engine(second, SolverConfig()).warm_start(*sol.basis)
+        got = solve_lp(second, warm=sol.basis)
+        _same_solution(got, solve_lp(second))
+        assert got.objective_value == pytest.approx(2.0)
+
+    def test_bit_identical_warm_resolves(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            lp = random_general_lp(rng)
+            first = solve_lp(lp)
+            if not first.is_optimal:
+                continue
+            new = _with(lp, costs=lp.costs[::-1].copy())
+            _same_solution(solve_lp(new, warm=first.basis), solve_lp(new, warm=first.basis))
+
+    def test_neighbouring_radius_takes_fewer_pivots(self, monkeypatch):
+        solves = []
+
+        def recording(lp, config=None, warm=None):
+            sol = solve_lp(lp, config, warm)
+            solves.append(sol)
+            return sol
+
+        monkeypatch.setattr(experiments, "solve_lp", recording)
+        spec = PortfolioSpec()
+        data = MarketModel().sample(300, np.random.default_rng(5))
+        first = experiments.solve_portfolio(spec, data, 0.01)
+        cold = experiments.solve_portfolio(spec, data, 0.0316)
+        warm = experiments.solve_portfolio(spec, data, 0.0316, warm=first.basis)
+        assert solves[0].primal.size == 10 + 2 + 300  # the free-support shortcut
+        assert solves[2].iterations < solves[1].iterations
+        gap_tol = SolverConfig().gap_tol
+        assert abs(warm.certificate - cold.certificate) <= gap_tol * (1.0 + abs(cold.certificate))
+
+
+class TestSizeGuard:
+    def test_engine_refuses_before_allocating(self):
+        m = 20_000  # no columns, but the engine's slacks and inverse need > 9 GB
+        lp = LinearProgram(
+            sense="min", costs=np.zeros(0), row_coeffs=np.zeros((m, 0)),
+            row_relations=(LE,) * m, row_rhs=np.zeros(m),
+            lower=np.zeros(0), upper=np.zeros(0),
+        )
+        with pytest.raises(TooLarge):
+            solve_lp(lp)
+
+    def test_boxed_portfolio_program_at_300_samples_fails_fast(self):
+        # 12601 x 6312: the row matrix alone would take 636 MB
+        data = MarketModel().sample(300, np.random.default_rng(3))
+        support = Polytope(-np.eye(10), np.ones(10), 10)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            build_portfolio_dro(PortfolioSpec(support=support), data, 0.1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDump:
