@@ -267,11 +267,11 @@ def verify_membership(result: ExtremalResult, p: DroProblem) -> MembershipReport
     worst-case one.  Only meaningful when all mass is retained."""
     empirical = DiscreteDistribution.empirical(p.samples)
     if result.escaping_mass > 0.0:
-        cost, _ = wasserstein_distance(empirical, result.distribution, p.norm)
+        cost = wasserstein_distance(empirical, result.distribution, p.norm)
         raise EscapingMassPresent(
             "the worst case is attained only asymptotically; "
             f"the retained part sits at transport cost {cost:.6g}",
             retained_cost=cost,
         )
-    distance, _ = wasserstein_distance(empirical, result.distribution, p.norm)
+    distance = wasserstein_distance(empirical, result.distribution, p.norm)
     return MembershipReport(distance=distance, radius=p.radius)

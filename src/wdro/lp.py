@@ -20,7 +20,7 @@ this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -40,10 +40,11 @@ LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 
 # Byte limit on the dense storage of one program and its simplex engine.
-# An m x n program takes 8*m*(2n + 3m) bytes at most: its row matrix, the
-# engine's copy widened by one slack and up to one artificial column per
-# row, and the m x m basis inverse.  The largest programs the studies and
-# the tests build (1261 x 642) take about 51 MB.
+# An m x n program takes 8*m*(2n + 2m + 1) bytes: its row matrix, the
+# engine's copy widened by one slack column per row and one artificial
+# column, and the m x m basis inverse.  The check uses 8*m*(2n + 3m), which
+# bounds that from above.  The largest programs the studies and the tests
+# build (1261 x 642) take about 51 MB by that bound.
 MAX_DENSE_BYTES = 2**30
 
 
@@ -218,9 +219,6 @@ class LpBuilder:
     def set_objective(self, terms: Mapping[Var, float]) -> None:
         self._obj = {v.index: float(t) for v, t in terms.items()}
 
-    def add_objective_term(self, v: Var, coeff: float) -> None:
-        self._obj[v.index] = self._obj.get(v.index, 0.0) + float(coeff)
-
     def add_row(self, terms: Mapping[Var, float], rel: str, rhs: float) -> None:
         row: dict[int, float] = {}
         for v, t in terms.items():
@@ -297,14 +295,6 @@ class LpBuilder:
             upper=np.array(self._upper, dtype=float),
             names=tuple(self._names),
         )
-
-    @staticmethod
-    def value_of(solution: LpSolution, v: Var) -> float:
-        return float(solution.primal[v.index])
-
-    @staticmethod
-    def values_of(solution: LpSolution, vs: Iterable[Var]) -> np.ndarray:
-        return np.array([solution.primal[v.index] for v in vs])
 
 
 def _fmt(x: float) -> str:

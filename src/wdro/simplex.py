@@ -4,11 +4,17 @@ The user-facing program is converted to equality form by appending one
 slack column per row; relation information lives entirely in the slack
 bounds ("<=" slack in [0, inf), ">=" slack in (-inf, 0], "=" slack fixed
 at zero).  Free variables are handled directly by the bounded-variable
-rules, never split into differences.  Phase one introduces signed
-artificial columns only for rows whose residual the slack cannot absorb
-and minimizes their sum; a positive phase-one optimum is an infeasibility
-certificate.  The basis inverse is kept explicitly, updated by row
-operations after each pivot and rebuilt every ``refactor_every`` pivots.
+rules, never split into differences.  The basis inverse is kept
+explicitly, updated by row operations after each pivot and rebuilt every
+``refactor_every`` pivots.
+
+Every solve begins the same way: a basis is installed with each nonbasic
+column at a bound, its inverse is built, and basic values outside their
+bounds are clamped.  The residual this leaves goes into a single
+artificial column, and phase one drives that column from one to zero.  A
+cold solve starts from the slack basis, every other column at its finite
+bound nearest zero (or at zero when free); a positive phase-one optimum
+there is an infeasibility certificate.
 
 Pricing uses the largest-violation (Dantzig) rule with lowest-index
 tie-breaks, switching to Bland's least-index rule after
@@ -23,23 +29,18 @@ bit-identical.
 Before a point is reported optimal it is checked once against the
 original program: primal residuals, reduced-cost signs and the primal-dual
 gap, each within its ``SolverConfig`` tolerance.  A point that fails is
-not returned.  The engine refactorizes, restores primal feasibility from
-the current basis with a single artificial column and resumes phase two;
-the second restart forces Bland's rule, and a third failure raises
-``NumericalBreakdown``.
+not returned.  The engine restarts from the current basis as above and
+resumes phase two; the second restart forces Bland's rule, and a third
+failure raises ``NumericalBreakdown``.
 
 Warm starts.  An optimal solution carries its basis: the basic column of
 each row and the bound side of every nonbasic column.  Passed back as
-``warm``, it replaces phase one: the artificial columns are fixed at zero,
-the basis is installed with each nonbasic column at its recorded bound,
-and the same restart that repairs a failed check refactorizes it and
-restores primal feasibility if the basis is infeasible for the new
-program.  Phase two and the final check then run as in a cold solve.
-Radius sweeps gain most: the radius enters a reformulation only as one
-cost coefficient, so the previous optimal basis stays primal feasible and
-phase two starts next to the new optimum.  A basis that does not fit (wrong
-length, an artificial column basic, singular, or beyond repair) is dropped
-and the solve starts cold.
+``warm``, it is the basis the solve starts from in place of the slack
+basis.  Radius sweeps gain most: the radius enters a reformulation only as
+one cost coefficient, so the previous optimal basis stays primal feasible
+and phase two starts next to the new optimum.  A basis that does not fit
+(wrong length, a column out of range, singular, or with a positive
+phase-one optimum) is dropped and the solve starts from the slack basis.
 """
 
 from __future__ import annotations
@@ -70,70 +71,32 @@ class _Engine:
         _check_dense_size(m, n)
         self.m, self.n_struct = m, n
 
+        # Columns: the structural ones, one slack per row, then the one
+        # artificial column that restart() fills with a residual.
         slack_lo, slack_hi = _slack_bounds(lp.row_relations)
-        lo_real = np.concatenate([lp.lower, slack_lo])
-        hi_real = np.concatenate([lp.upper, slack_hi])
-        b = lp.row_rhs.copy()
-
-        # Nonbasic start: finite bound nearest the origin, else the origin.
-        x_real = np.zeros(n + m)
-        st_real = np.full(n + m, _FREE, dtype=np.int8)
-        lo_f, hi_f = np.isfinite(lo_real), np.isfinite(hi_real)
-        at_lo = lo_f & (np.abs(lo_real) <= np.abs(np.where(hi_f, hi_real, np.inf)))
-        at_hi = hi_f & ~at_lo
-        st_real[at_lo], st_real[at_hi] = _AT_LOWER, _AT_UPPER
-        x_real[at_lo], x_real[at_hi] = lo_real[at_lo], hi_real[at_hi]
-
-        # Rows whose residual fits inside the slack bounds start with the
-        # slack basic; the rest get one signed artificial column each.
-        resid = b - lp.row_coeffs @ x_real[:n]
-        basis = np.empty(m, dtype=np.int64)
-        art_rows: list[int] = []
-        art_vals: list[float] = []
-        art_signs: list[float] = []
-        for i in range(m):
-            js = n + i
-            if slack_lo[i] <= resid[i] <= slack_hi[i]:
-                basis[i] = js
-                x_real[js] = resid[i]
-                st_real[js] = _BASIC
-            else:
-                x_real[js] = min(max(resid[i], slack_lo[i]), slack_hi[i])
-                st_real[js] = _AT_LOWER if x_real[js] == slack_lo[i] else _AT_UPPER
-                gap = resid[i] - x_real[js]
-                art_rows.append(i)
-                art_vals.append(abs(gap))
-                art_signs.append(1.0 if gap > 0 else -1.0)
-
-        n_art = len(art_rows)
-        n_tot = n + m + n_art
+        self.n_tot = n_tot = n + m + 1
+        self.art = n + m
         A = np.zeros((m, n_tot))
         A[:, :n] = lp.row_coeffs
         A[np.arange(m), n + np.arange(m)] = 1.0
-        for k, (i, s) in enumerate(zip(art_rows, art_signs)):
-            A[i, n + m + k] = s
-            basis[i] = n + m + k
-
         self.A = A
-        self.b = b
-        self.lo = np.concatenate([lo_real, np.zeros(n_art)])
-        self.hi = np.concatenate([hi_real, np.full(n_art, np.inf)])
-        self.x = np.concatenate([x_real, np.array(art_vals)])
-        self.status = np.concatenate(
-            [st_real, np.full(n_art, _BASIC, dtype=np.int8)]
-        )
-        self.basis = basis
-        self.n_tot, self.n_art = n_tot, n_art
+        self.b = lp.row_rhs.copy()
+        self.lo = np.concatenate([lp.lower, slack_lo, [0.0]])
+        self.hi = np.concatenate([lp.upper, slack_hi, [0.0]])
         self.fixed = self.lo == self.hi
+        self.x = np.zeros(n_tot)
+        self.status = np.full(n_tot, _AT_LOWER, dtype=np.int8)
         self.B_inv = np.zeros((m, m))
-        self.iterations = 0
-        self.bland_after = SolverConfig.bland_after(n, m)
-        self._refactor()
+        # The slack basis, every other column at its finite bound nearest zero.
+        self.slack_start = (
+            n + np.arange(m),
+            np.abs(self.hi[: n + m]) < np.abs(self.lo[: n + m]),
+        )
 
         c_int = -lp.costs if self.flip else lp.costs
-        self.cost = np.concatenate([c_int, np.zeros(m + n_art)])
+        self.cost = np.concatenate([c_int, np.zeros(m + 1)])
         self.ph1_cost = np.zeros(n_tot)
-        self.ph1_cost[n + m :] = 1.0
+        self.ph1_cost[self.art] = 1.0
         # Unbounded-exit scratch, set when _run returns _UNBOUNDED.
         self.ray_col = -1
         self.ray_sigma = 0.0
@@ -142,10 +105,13 @@ class _Engine:
     def _refactor(self) -> None:
         if self.m == 0:
             return
-        try:
-            self.B_inv = np.linalg.inv(self.A[:, self.basis])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown("singular basis during refactorization") from exc
+        if np.array_equal(self.basis, self.slack_start[0]):
+            self.B_inv = np.eye(self.m)  # the slack columns form the identity
+        else:
+            try:
+                self.B_inv = np.linalg.inv(self.A[:, self.basis])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalBreakdown("singular basis during refactorization") from exc
         x_nb = self.x.copy()
         x_nb[self.basis] = 0.0
         self.x[self.basis] = self.B_inv @ (self.b - self.A @ x_nb)
@@ -252,43 +218,40 @@ class _Engine:
                 self._refactor()
 
     def phase_one(self) -> float:
-        if self.n_art == 0:
-            return 0.0
         outcome = self._run(self.ph1_cost)
         if outcome == _ITER_LIMIT:
             raise NumericalBreakdown("iteration limit reached in phase one")
         if outcome == _UNBOUNDED:
             # The phase-one objective is bounded below by zero.
             raise NumericalBreakdown("phase one reported an unbounded direction")
-        return float(self.ph1_cost @ self.x)
+        return float(self.x[self.art])
 
-    def drop_artificials(self) -> None:
-        n_real = self.n_struct + self.m
-        if self.n_art == 0:
-            return
-        art = np.arange(n_real, self.n_tot)
-        self.lo[art] = 0.0
-        self.hi[art] = 0.0
+    def _fix_artificial(self) -> None:
+        art = self.art
+        self.hi[art] = self.x[art] = 0.0
         self.fixed[art] = True
-        nonbasic_art = art[self.status[art] != _BASIC]
-        self.x[nonbasic_art] = 0.0
-        for r in np.flatnonzero(self.basis >= n_real):
+        self.status[art] = _AT_LOWER
+
+    def drop_artificial(self) -> None:
+        """Fix the artificial column at zero, first pivoting it out of the
+        basis if phase one left it basic (at zero)."""
+        art, n_real = self.art, self.n_struct + self.m
+        self._fix_artificial()
+        for r in np.flatnonzero(self.basis == art):
             r = int(r)
             row = self.B_inv[r, :] @ self.A[:, :n_real]
             row[self.status[:n_real] == _BASIC] = 0.0
-            row[self.fixed[:n_real]] = 0.0
-            jq = int(np.argmax(np.abs(row)))
-            if abs(row[jq]) <= self.cfg.pivot_tol:
-                continue  # redundant row; the artificial stays basic at zero
-            w = self.B_inv @ self.A[:, jq]
-            leaving = int(self.basis[r])
-            entering_value = self.x[jq]
-            self.x[leaving] = 0.0
-            self.status[leaving] = _AT_LOWER
+            # Prefer a column that can move; a fixed one (an equality slack)
+            # holds the row at zero just as well when no other column can.
+            pick = np.where(self.fixed[:n_real], 0.0, row)
+            if np.abs(pick).max() <= self.cfg.pivot_tol:
+                pick = row
+            jq = int(np.argmax(np.abs(pick)))
+            if abs(pick[jq]) <= self.cfg.pivot_tol:
+                raise NumericalBreakdown("the artificial column cannot leave the basis")
             self.basis[r] = jq
             self.status[jq] = _BASIC
-            self.x[jq] = entering_value
-            self._pivot_update(r, w)
+            self._pivot_update(r, self.B_inv @ self.A[:, jq])
         self._refactor()
 
     def phase_two(self) -> int:
@@ -297,42 +260,39 @@ class _Engine:
             raise NumericalBreakdown("iteration limit reached in phase two")
         return outcome
 
-    def restart(self) -> None:
+    def restart(self) -> float:
         """Rebuild the inverse of the current basis and make its point
-        primal feasible again.  Basic values outside their bounds are
-        clamped; the residual that leaves goes into one artificial column,
-        which phase one then drives to zero."""
+        primal feasible again; return the phase-one optimum, 0 if the
+        point needed no repair.  Basic values outside their bounds are
+        clamped and the residual that leaves goes into the artificial
+        column, which phase one then drives from one to zero.  A positive
+        optimum leaves the phase-one basis in place, and its duals are an
+        infeasibility certificate."""
         self._refactor()
         xb = self.x[self.basis]
         clamped = np.clip(xb, self.lo[self.basis], self.hi[self.basis])
         if np.array_equal(clamped, xb):
-            return
+            return 0.0
         self.x[self.basis] = clamped
-        resid = self.b - self.A @ self.x
-        self.A = np.column_stack([self.A, resid])
-        self.lo = np.append(self.lo, 0.0)
-        self.hi = np.append(self.hi, 1.0)
-        self.x = np.append(self.x, 1.0)
-        self.status = np.append(self.status, np.int8(_AT_UPPER))
-        self.fixed = np.append(self.fixed, False)
-        self.cost = np.append(self.cost, 0.0)
-        self.n_tot += 1
-        self.n_art += 1
-        self.ph1_cost = np.zeros(self.n_tot)
-        self.ph1_cost[-1] = 1.0
-        if self.phase_one() > self.cfg.feas_tol:
-            raise NumericalBreakdown("could not restore primal feasibility")
-        self.drop_artificials()
+        art = self.art
+        self.A[:, art] = self.b - self.A @ self.x
+        self.x[art] = self.hi[art] = 1.0
+        self.status[art] = _AT_UPPER
+        self.fixed[art] = False
+        infeasibility = self.phase_one()
+        if infeasibility <= self.cfg.feas_tol:
+            self.drop_artificial()
+        return infeasibility
 
-    def warm_start(self, basis: np.ndarray, at_upper: np.ndarray) -> None:
-        """Replace phase one by a given basis of real columns (see the
-        module docstring); raises NumericalBreakdown if it is singular or
-        cannot be made primal feasible."""
+    def start(self, basis: np.ndarray, at_upper: np.ndarray) -> float:
+        """Begin a solve from ``basis``, each other column at a bound (the
+        upper one where ``at_upper`` says so), and return the phase-one
+        optimum of restart(); raises NumericalBreakdown if the basis is
+        singular or phase one breaks down."""
         n_real = self.n_struct + self.m
-        art = np.arange(n_real, self.n_tot)
-        self.lo[art] = self.hi[art] = self.x[art] = 0.0
-        self.fixed[art] = True
-        self.status[art] = _AT_LOWER
+        self.iterations = 0
+        self.bland_after = SolverConfig.bland_after(self.n_struct, self.m)
+        self._fix_artificial()
         lo, hi = self.lo[:n_real], self.hi[:n_real]
         up = np.isfinite(hi) & (at_upper | ~np.isfinite(lo))
         down = np.isfinite(lo) & ~up
@@ -340,7 +300,7 @@ class _Engine:
         self.status[:n_real] = np.where(up, _AT_UPPER, np.where(down, _AT_LOWER, _FREE))
         self.basis = basis.astype(np.int64)
         self.status[self.basis] = _BASIC
-        self.restart()
+        return self.restart()
 
     def raw_duals(self, c: np.ndarray) -> np.ndarray:
         return self.B_inv.T @ c[self.basis] if self.m else np.zeros(0)
@@ -387,20 +347,18 @@ def _certifies_optimal(
     return abs(primal_obj - dual_obj) <= cfg.gap_tol * (1.0 + abs(primal_obj))
 
 
-def _warm_engine(lp: LinearProgram, cfg: SolverConfig, warm) -> _Engine | None:
-    """An engine started from the basis ``warm``, or None if it does not fit."""
+def _start_warm(eng: _Engine, warm) -> bool:
+    """Start ``eng`` from the basis ``warm``; False if it does not fit."""
     basis, at_upper = (np.asarray(part) for part in warm)
-    n_real = lp.n_vars + lp.n_rows
-    if basis.shape != (lp.n_rows,) or at_upper.shape != (n_real,):
-        return None
+    n_real = eng.n_struct + eng.m
+    if basis.shape != (eng.m,) or at_upper.shape != (n_real,):
+        return False
     if basis.size and (basis.min() < 0 or basis.max() >= n_real):
-        return None
-    eng = _Engine(lp, cfg)
+        return False
     try:
-        eng.warm_start(basis, at_upper.astype(bool))
+        return eng.start(basis, at_upper.astype(bool)) <= eng.cfg.feas_tol
     except NumericalBreakdown:
-        return None
-    return eng
+        return False
 
 
 def solve_lp(
@@ -415,15 +373,13 @@ def solve_lp(
 
     ``warm`` is the ``basis`` of an earlier optimal solution, typically of
     the same constraints under other costs.  The solve then starts from it
-    rather than from phase one; a basis that does not fit this program is
-    ignored.  Either way the answer passes the same final check.
+    rather than from the slack basis; a basis that does not fit this
+    program is ignored.  Either way the answer passes the same final check.
     """
     cfg = config or SolverConfig()
-    eng = _warm_engine(lp, cfg, warm) if warm is not None else None
-    if eng is None:
-        eng = _Engine(lp, cfg)
-        ph1 = eng.phase_one()
-        if ph1 > cfg.feas_tol:
+    eng = _Engine(lp, cfg)
+    if warm is None or not _start_warm(eng, warm):
+        if eng.start(*eng.slack_start) > cfg.feas_tol:
             return LpSolution(
                 status="infeasible",
                 objective_value=float("nan"),
@@ -432,7 +388,6 @@ def solve_lp(
                 ray=None,
                 iterations=eng.iterations,
             )
-        eng.drop_artificials()
 
     outcome = eng.phase_two()
     # Restart after a failed check; the second restart runs under Bland's rule.
@@ -447,7 +402,8 @@ def solve_lp(
             )
         if attempt == 1:
             eng.bland_after = 0
-        eng.restart()
+        if eng.restart() > cfg.feas_tol:
+            raise NumericalBreakdown("could not restore primal feasibility")
         outcome = eng.phase_two()
     if outcome == _UNBOUNDED:
         return LpSolution(

@@ -19,7 +19,6 @@ from .simplex import solve_lp
 
 __all__ = [
     "DiscreteDistribution",
-    "TransportPlan",
     "merge_atoms",
     "wasserstein_distance",
 ]
@@ -73,15 +72,6 @@ class DiscreteDistribution:
         return self.weights @ self.points
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """Joint mass flow between two atom lists; row marginals are the source
-    weights, column marginals the target weights."""
-
-    flow: np.ndarray
-    cost: float
-
-
 def merge_atoms(dist: DiscreteDistribution, tol: float = 1e-12) -> DiscreteDistribution:
     """Collapse atoms whose coordinates agree within ``tol`` (max-norm),
     summing their weights.  Keeps first-seen order."""
@@ -100,9 +90,9 @@ def merge_atoms(dist: DiscreteDistribution, tol: float = 1e-12) -> DiscreteDistr
 
 def wasserstein_distance(
     p: DiscreteDistribution, q: DiscreteDistribution, norm: GroundNorm
-) -> tuple[float, TransportPlan]:
-    """Exact 1-Wasserstein distance between two discrete distributions and
-    an optimal transport plan for the given ground norm."""
+) -> float:
+    """Exact 1-Wasserstein distance between two discrete distributions for
+    the given ground norm."""
     if p.dim != q.dim:
         raise DimensionMismatch("distributions live in different dimensions")
     p = merge_atoms(p)
@@ -130,6 +120,5 @@ def wasserstein_distance(
     if sol.status != "optimal":
         # Balanced marginals always admit a product plan.
         raise TooLarge("transportation solve failed unexpectedly")
-    flow = np.array([[b.value_of(sol, f[i][j]) for j in range(nt)] for i in range(ns)])
-    cost = float(np.sum(flow * dist))
-    return cost, TransportPlan(flow=flow, cost=cost)
+    flow = sol.primal.reshape(ns, nt)  # f[i][j] were created row by row
+    return float(np.sum(flow * dist))

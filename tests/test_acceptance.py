@@ -187,7 +187,7 @@ def test_criterion_06_ball_membership():
         extremal = worst_case_distribution(p)
         assert extremal.escaping_mass == 0.0
         empirical = DiscreteDistribution.empirical(p.samples)
-        dist, _ = wasserstein_distance(empirical, extremal.distribution, p.norm)
+        dist = wasserstein_distance(empirical, extremal.distribution, p.norm)
         assert dist <= p.radius + 1e-6
         worst_dist_excess = max(worst_dist_excess, dist - p.radius)
         expected = float(

@@ -206,7 +206,7 @@ class TestSeparable:
         assert sep.objective_value == pytest.approx(
             plain.objective_value, abs=1e-9
         )
-        dist = wasserstein_distance(sep.distribution, plain.distribution, L1)[0]
+        dist = wasserstein_distance(sep.distribution, plain.distribution, L1)
         assert dist == pytest.approx(0.0, abs=1e-7)
 
     def test_two_stage_value_and_membership(self):
@@ -234,7 +234,7 @@ class TestSeparable:
         res = worst_case_distribution_separable(p)
         assert res.escaping_mass == 0.0
         merged = merge_atoms(DiscreteDistribution.empirical(p.samples))
-        dist = wasserstein_distance(res.distribution, merged, L1)[0]
+        dist = wasserstein_distance(res.distribution, merged, L1)
         assert dist == pytest.approx(0.0, abs=1e-9)
 
     def test_atom_count_bounded_by_piece_combinations(self):

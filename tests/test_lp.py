@@ -320,6 +320,39 @@ class TestDegeneracy:
         assert s.status == "optimal"
         assert s.objective_value == pytest.approx(-1.0, abs=1e-9)
 
+    def test_artificial_left_basic_by_phase_one_is_pivoted_out(self, monkeypatch):
+        drop = simplex._Engine.drop_artificial
+        basic = []
+
+        def spying_drop(eng):
+            basic.append(eng.art in eng.basis)
+            drop(eng)
+
+        monkeypatch.setattr(simplex._Engine, "drop_artificial", spying_drop)
+        rng = np.random.default_rng(0)
+        seen = 0
+        for _ in range(300):
+            # Small integer data make phase one end on ties.
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            lp = _lp(
+                "min",
+                rng.integers(-2, 3, size=n),
+                rng.integers(-2, 3, size=(m, n)),
+                [(LE, GE, EQ)[int(k)] for k in rng.integers(3, size=m)],
+                rng.integers(-2, 3, size=m),
+                np.where(rng.random(n) < 0.7, 0.0, -np.inf),
+                np.where(rng.random(n) < 0.5, 2.0, np.inf),
+            )
+            basic.clear()
+            got = solve_lp(lp)
+            ref_status, ref_val, _ = solve_with_scipy(lp)
+            assert got.status == ref_status
+            if ref_status == "optimal":
+                assert got.objective_value == pytest.approx(ref_val, abs=1e-9)
+                assert got.basis[0].max() < lp.n_vars + lp.n_rows
+                seen += any(basic)
+        assert seen > 5
+
 
 class TestDeterminism:
     def test_bit_identical_resolves(self):
@@ -385,9 +418,11 @@ class TestWarmStart:
         repairs = []
 
         def counted_restart(eng):
-            n_art = eng.n_art
-            restart(eng)
-            repairs.append(eng.n_art > n_art)
+            # Only a restart that runs phase one spends iterations.
+            before = eng.iterations
+            infeasibility = restart(eng)
+            repairs.append(eng.iterations > before)
+            return infeasibility
 
         monkeypatch.setattr(simplex._Engine, "restart", counted_restart)
         rng = np.random.default_rng(37)
@@ -428,10 +463,21 @@ class TestWarmStart:
         sol = solve_lp(first)
         assert sorted(sol.basis[0]) == [0, 1]
         with pytest.raises(NumericalBreakdown):
-            simplex._Engine(second, SolverConfig()).warm_start(*sol.basis)
+            simplex._Engine(second, SolverConfig()).start(*sol.basis)
         got = solve_lp(second, warm=sol.basis)
         _same_solution(got, solve_lp(second))
         assert got.objective_value == pytest.approx(2.0)
+
+    def test_cold_solve_is_a_start_from_the_slack_basis(self):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            lp = random_general_lp(rng)
+            n, m = lp.n_vars, lp.n_rows
+            s_lo, s_hi = simplex._slack_bounds(lp.row_relations)
+            lo = np.concatenate([lp.lower, s_lo])
+            hi = np.concatenate([lp.upper, s_hi])
+            slack = (n + np.arange(m), np.abs(hi) < np.abs(lo))
+            _same_solution(solve_lp(lp), solve_lp(lp, warm=slack))
 
     def test_bit_identical_warm_resolves(self):
         rng = np.random.default_rng(43)
@@ -569,13 +615,14 @@ class TestFinalCheck:
 
     def test_infeasible_basis_is_repaired_by_phase_one(self, monkeypatch):
         run = simplex._Engine.phase_two
-        restarts = []
+        phase_twos, restarts = [], []
 
         def swap_in_column(eng):
             # Exchange a nonbasic column into the basis without a ratio
             # test, which generally leaves the basic point out of bounds.
             outcome = run(eng)
-            if restarts or outcome != simplex._OPTIMAL:
+            phase_twos.append(outcome)
+            if len(phase_twos) > 1 or outcome != simplex._OPTIMAL:
                 return outcome
             for j in range(eng.n_struct):
                 if eng.status[j] == simplex._BASIC:
@@ -600,9 +647,13 @@ class TestFinalCheck:
         restart = simplex._Engine.restart
 
         def counted_restart(eng):
-            n_art = eng.n_art
-            restart(eng)
-            restarts.append(eng.n_art > n_art)
+            # Restarts of the final check only; a start restarts too.  Only
+            # a restart that runs phase one spends iterations.
+            before = eng.iterations
+            infeasibility = restart(eng)
+            if phase_twos:
+                restarts.append(eng.iterations > before)
+            return infeasibility
 
         monkeypatch.setattr(simplex._Engine, "phase_two", swap_in_column)
         monkeypatch.setattr(simplex._Engine, "restart", counted_restart)
@@ -610,6 +661,7 @@ class TestFinalCheck:
         repaired = 0
         for _ in range(80):
             lp = random_general_lp(rng)
+            phase_twos.clear()
             restarts.clear()
             got = solve_lp(lp)
             ref_status, ref_val, _ = solve_with_scipy(lp)
@@ -618,7 +670,7 @@ class TestFinalCheck:
             assert got.status == "optimal"
             assert got.objective_value == pytest.approx(ref_val, abs=1e-7)
             repaired += any(restarts)
-        assert repaired > 5  # the artificial-column restart was exercised
+        assert repaired > 5  # the restart's phase one was exercised
 
     def test_point_that_never_verifies_raises(self, monkeypatch):
         monkeypatch.setattr(simplex, "_certifies_optimal", lambda *args: False)
