@@ -40,11 +40,13 @@ LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 
 # Byte limit on the dense storage of one program and its simplex engine.
-# An m x n program takes 8*m*(2n + 2m + 1) bytes: its row matrix, the
-# engine's copy widened by one slack column per row and one artificial
-# column, and the m x m basis inverse.  The check uses 8*m*(2n + 3m), which
-# bounds that from above.  The largest programs the studies and the tests
-# build (1261 x 642) take about 51 MB by that bound.
+# An m x n program takes 8*m*(2n + m + 1) bytes: its row matrix, the
+# engine's [A | a] (the structural columns and one artificial column; slack
+# columns are implicit) and the m x m basis inverse.  A refactorization or
+# a dense pivot update holds one more m x m array for a moment.  The check
+# uses 8*m*(2n + 3m), which bounds all of that from above.  The largest
+# programs the studies and the tests build (1261 x 642) take about 51 MB by
+# that bound.
 MAX_DENSE_BYTES = 2**30
 
 

@@ -4,9 +4,22 @@ The user-facing program is converted to equality form by appending one
 slack column per row; relation information lives entirely in the slack
 bounds ("<=" slack in [0, inf), ">=" slack in (-inf, 0], "=" slack fixed
 at zero).  Free variables are handled directly by the bounded-variable
-rules, never split into differences.  The basis inverse is kept
-explicitly, updated by row operations after each pivot and rebuilt every
-``refactor_every`` pivots.
+rules, never split into differences.
+
+The basis inverse is kept explicitly, updated by row operations after each
+pivot and rebuilt every ``refactor_every`` pivots, and each step costs what
+the basis holds rather than its full size.  The Wasserstein programs give
+every sample its own block of rows, so an optimal basis is mostly slack
+columns and B^-1 is mostly zeros.  A rebuild inverts only the block
+A[R, J], J the basic columns that are not slacks and R the rows no basic
+slack covers; the slack rows of B^-1 follow from it by one product.  A
+pivot updates only the columns of B^-1 where the pivot row is nonzero
+(all of them once more than an eighth are), which leaves every bit as a
+full rank-1 update would.  Slack columns are
+never stored: the engine keeps the structural columns and the artificial
+one, prices a slack as its cost minus its row dual, and reads B^-1 e_i
+off B^-1 itself.  B^-1 times a stored column uses that column's nonzero
+rows, and the row duals use the basic columns with nonzero cost.
 
 Every solve begins the same way: a basis is installed with each nonbasic
 column at a bound, its inverse is built, and basic values outside their
@@ -45,6 +58,8 @@ phase-one optimum) is dropped and the solve starts from the slack basis.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalBreakdown
@@ -71,15 +86,15 @@ class _Engine:
         _check_dense_size(m, n)
         self.m, self.n_struct = m, n
 
-        # Columns: the structural ones, one slack per row, then the one
-        # artificial column that restart() fills with a residual.
+        # Columns are numbered: the structural ones, one slack per row, then
+        # the one artificial column that restart() fills with a residual.
+        # Slack j is the unit column e_(j-n) and is never stored; A holds
+        # the structural columns with the artificial one after them.
         slack_lo, slack_hi = _slack_bounds(lp.row_relations)
         self.n_tot = n_tot = n + m + 1
         self.art = n + m
-        A = np.zeros((m, n_tot))
-        A[:, :n] = lp.row_coeffs
-        A[np.arange(m), n + np.arange(m)] = 1.0
-        self.A = A
+        self.A = np.zeros((m, n + 1))
+        self.A[:, :n] = lp.row_coeffs
         self.b = lp.row_rhs.copy()
         self.lo = np.concatenate([lp.lower, slack_lo, [0.0]])
         self.hi = np.concatenate([lp.upper, slack_hi, [0.0]])
@@ -102,120 +117,178 @@ class _Engine:
         self.ray_sigma = 0.0
         self.ray_w = np.zeros(m)
 
+    def _times(self, x: np.ndarray) -> np.ndarray:
+        """[A | I | a] @ x."""
+        n = self.n_struct
+        return self.A @ np.append(x[:n], x[self.art]) + x[n : self.art]
+
     def _refactor(self) -> None:
-        if self.m == 0:
+        """Rebuild B_inv from the basis.  With S the basic slacks, J the
+        other basic columns and R the rows no basic slack covers, only the
+        block G = A[R, J]^-1 needs inverting: rows J of B_inv are G in the
+        columns R, and the row of a slack covering row s is
+        -(A[s, J] @ G) in the columns R plus a one in column s."""
+        m, n = self.m, self.n_struct
+        if m == 0:
             return
-        if np.array_equal(self.basis, self.slack_start[0]):
-            self.B_inv = np.eye(self.m)  # the slack columns form the identity
-        else:
+        basis = self.basis
+        slack = (basis >= n) & (basis < self.art)
+        S, J = np.flatnonzero(slack), np.flatnonzero(~slack)
+        rows_S = basis[S] - n
+        uncovered = np.ones(m, dtype=bool)
+        uncovered[rows_S] = False
+        R = np.flatnonzero(uncovered)
+        if R.size != J.size:
+            raise NumericalBreakdown("singular basis during refactorization")
+        B_inv = np.zeros((m, m))
+        B_inv[S, rows_S] = 1.0
+        if J.size:
+            cols = self.A[:, np.where(basis[J] == self.art, n, basis[J])]
             try:
-                self.B_inv = np.linalg.inv(self.A[:, self.basis])
+                G = np.linalg.inv(cols[R])
             except np.linalg.LinAlgError as exc:
                 raise NumericalBreakdown("singular basis during refactorization") from exc
+            B_inv[np.ix_(J, R)] = G
+            B_inv[np.ix_(S, R)] = -(cols[rows_S] @ G)
+        self.B_inv = B_inv
         x_nb = self.x.copy()
-        x_nb[self.basis] = 0.0
-        self.x[self.basis] = self.B_inv @ (self.b - self.A @ x_nb)
+        x_nb[basis] = 0.0
+        self.x[basis] = B_inv @ (self.b - self._times(x_nb))
+
+    def ftran(self, j: int) -> np.ndarray:
+        """B^-1 times column j, from that column's nonzero rows only."""
+        n = self.n_struct
+        if n <= j < self.art:
+            return self.B_inv[:, j - n].copy()
+        col = self.A[:, n if j == self.art else j]
+        rows = col.nonzero()[0]
+        return self.B_inv[:, rows] @ col[rows]
+
+    def btran(self, c_basic: np.ndarray) -> np.ndarray:
+        """Row duals y = B^-T c_B, from the basic columns with nonzero cost."""
+        pos = c_basic.nonzero()[0]
+        return c_basic[pos] @ self.B_inv[pos]
 
     def _pivot_update(self, r: int, w: np.ndarray) -> None:
-        self.B_inv[r, :] /= w[r]
+        """Row operations that bring column w to e_r.  Columns of B_inv
+        where the pivot row is zero would only have exact zeros subtracted,
+        so a sparse row updates its nonzero columns alone.  Gathering
+        columns costs several times a dense pass, so a row more than an
+        eighth full is updated whole.  Both routes give the same bits."""
+        B_inv = self.B_inv
+        B_inv[r, :] /= w[r]
+        cols = B_inv[r, :].nonzero()[0]
         others = w.copy()
         others[r] = 0.0
-        self.B_inv -= np.outer(others, self.B_inv[r, :])
+        if 8 * cols.size >= self.m:
+            B_inv -= others[:, None] * B_inv[r, :]
+        else:
+            B_inv[:, cols] -= others[:, None] * B_inv[r, cols]
 
     def _run(self, c: np.ndarray) -> int:
         cfg = self.cfg
-        A, lo, hi = self.A, self.lo, self.hi
-        m = self.m
+        A, lo, hi, x, basis, st = self.A, self.lo, self.hi, self.x, self.basis, self.status
+        n, m = self.n_struct, self.m
+        # Pricing sign per column: a reduced cost d scores -d at the lower
+        # bound and d at the upper one; basic and fixed columns score zero,
+        # free nonbasic ones |d|.
+        sign = np.where(st == _AT_UPPER, 1.0, np.where(st == _AT_LOWER, -1.0, 0.0))
+        sign[self.fixed] = 0.0
+        free = np.flatnonzero(st == _FREE)
+        xb, lob, hob, cb = x[basis], lo[basis], hi[basis], c[basis]
         pivots = 0
-        while True:
-            if self.iterations >= cfg.max_iterations:
-                return _ITER_LIMIT
-            self.iterations += 1
-            bland = self.iterations > self.bland_after
+        try:
+            while True:
+                if self.iterations >= cfg.max_iterations:
+                    return _ITER_LIMIT
+                self.iterations += 1
+                bland = self.iterations > self.bland_after
 
-            y = self.B_inv.T @ c[self.basis] if m else np.zeros(0)
-            d = c - A.T @ y
-            st = self.status
-            score = np.zeros(self.n_tot)
-            mask_lo = (st == _AT_LOWER) & ~self.fixed
-            mask_hi = (st == _AT_UPPER) & ~self.fixed
-            mask_fr = st == _FREE
-            score[mask_lo] = -d[mask_lo]
-            score[mask_hi] = d[mask_hi]
-            score[mask_fr] = np.abs(d[mask_fr])
-            eligible = score > cfg.opt_tol
-            if not eligible.any():
-                return _OPTIMAL
-            if bland:
-                j = int(np.flatnonzero(eligible)[0])
-            else:
-                j = int(np.argmax(score))
-            if st[j] == _AT_LOWER:
-                sigma = 1.0
-            elif st[j] == _AT_UPPER:
-                sigma = -1.0
-            else:
-                sigma = 1.0 if d[j] < 0 else -1.0
+                y = self.btran(cb)
+                # Rows covered by a basic slack have y = 0 exactly.
+                rows = y.nonzero()[0]
+                g = y[rows] @ A[rows]
+                d = c - np.concatenate((g[:n], y, g[n:]))
+                score = d * sign
+                if free.size:
+                    score[free] = np.abs(d[free])
+                if bland:
+                    eligible = np.flatnonzero(score > cfg.opt_tol)
+                    if not eligible.size:
+                        return _OPTIMAL
+                    j = int(eligible[0])
+                else:
+                    j = int(np.argmax(score))
+                    if not score[j] > cfg.opt_tol:
+                        return _OPTIMAL
+                if st[j] == _AT_LOWER:
+                    sigma = 1.0
+                elif st[j] == _AT_UPPER:
+                    sigma = -1.0
+                else:
+                    sigma = 1.0 if d[j] < 0 else -1.0
 
-            w = self.B_inv @ A[:, j] if m else np.zeros(0)
-            delta = -sigma * w
-
-            t_rows = np.full(m, np.inf)
-            if m:
+                w = self.ftran(j)
+                delta = -sigma * w
                 # A pivot must be large relative to the entering column: a
                 # relatively tiny one makes the rank-1 update of B_inv (and
-                # so of x) amplify rounding error without bound.
-                piv = cfg.pivot_tol * max(1.0, float(np.abs(w).max()))
-                xb = self.x[self.basis]
-                lob, hob = lo[self.basis], hi[self.basis]
-                dec = (delta < -piv) & np.isfinite(lob)
-                inc = (delta > piv) & np.isfinite(hob)
-                t_rows[dec] = np.maximum(xb[dec] - lob[dec], 0.0) / -delta[dec]
-                t_rows[inc] = np.maximum(hob[inc] - xb[inc], 0.0) / delta[inc]
+                # so of x) amplify rounding error without bound.  An
+                # infinite bound gives an infinite step, never a blocking row.
+                mag = np.abs(w)
+                piv = cfg.pivot_tol * max(1.0, float(mag.max(initial=0.0)))
+                room = np.where(delta < 0, xb - lob, hob - xb)
+                t_rows = np.divide(
+                    np.maximum(room, 0.0), mag, out=np.full(m, np.inf), where=mag > piv
+                )
 
-            t_flip = hi[j] - lo[j] if np.isfinite(lo[j]) and np.isfinite(hi[j]) else np.inf
-            t_row_min = t_rows.min() if m else np.inf
-            t = min(t_row_min, t_flip)
-            if not np.isfinite(t):
-                self.ray_col, self.ray_sigma, self.ray_w = j, sigma, w
-                return _UNBOUNDED
+                t_flip = hi[j] - lo[j] if math.isfinite(lo[j]) and math.isfinite(hi[j]) else np.inf
+                t_row_min = t_rows.min(initial=np.inf)
+                t = min(t_row_min, t_flip)
+                if not math.isfinite(t):
+                    self.ray_col, self.ray_sigma, self.ray_w = j, sigma, w
+                    return _UNBOUNDED
 
-            if t_flip <= t_row_min:
-                # Entering variable jumps to its other bound; basis unchanged.
-                if m:
-                    self.x[self.basis] += t * delta
-                if st[j] == _AT_LOWER:
-                    self.x[j] = hi[j]
-                    self.status[j] = _AT_UPPER
+                xb += t * delta
+                if t_flip <= t_row_min:
+                    # Entering variable jumps to its other bound; basis unchanged.
+                    if st[j] == _AT_LOWER:
+                        x[j] = hi[j]
+                        st[j] = _AT_UPPER
+                    else:
+                        x[j] = lo[j]
+                        st[j] = _AT_LOWER
+                    sign[j] = -sign[j]
+                    continue
+
+                cand = np.flatnonzero(t_rows <= t + 1e-12 * (1.0 + abs(t)))
+                if cand.size > 1 and not bland:
+                    mags = mag[cand]
+                    cand = cand[mags >= mags.max() * (1.0 - 1e-9)]
+                r = int(cand[np.argmin(basis[cand])]) if cand.size > 1 else int(cand[0])
+
+                leaving = int(basis[r])
+                if delta[r] < 0 or not math.isfinite(hi[leaving]):
+                    x[leaving] = lo[leaving]
+                    st[leaving] = _AT_LOWER
+                    sign[leaving] = 0.0 if self.fixed[leaving] else -1.0
                 else:
-                    self.x[j] = lo[j]
-                    self.status[j] = _AT_LOWER
-                continue
-
-            tie = t_rows <= t + 1e-12 * (1.0 + abs(t))
-            cand = np.flatnonzero(tie)
-            if bland:
-                r = int(cand[np.argmin(self.basis[cand])])
-            else:
-                mags = np.abs(delta[cand])
-                best = cand[mags >= mags.max() * (1.0 - 1e-9)]
-                r = int(best[np.argmin(self.basis[best])])
-
-            leaving = int(self.basis[r])
-            self.x[self.basis] += t * delta
-            self.x[j] = self.x[j] + sigma * t
-            if delta[r] < 0 or not np.isfinite(hi[leaving]):
-                self.x[leaving] = lo[leaving]
-                self.status[leaving] = _AT_LOWER
-            else:
-                self.x[leaving] = hi[leaving]
-                self.status[leaving] = _AT_UPPER
-            self.basis[r] = j
-            self.status[j] = _BASIC
-            self._pivot_update(r, w)
-            pivots += 1
-            if pivots % self.cfg.refactor_every == 0:
-                self._refactor()
+                    x[leaving] = hi[leaving]
+                    st[leaving] = _AT_UPPER
+                    sign[leaving] = 0.0 if self.fixed[leaving] else 1.0
+                if st[j] == _FREE:
+                    free = free[free != j]
+                xb[r] = x[j] + sigma * t
+                basis[r] = j
+                st[j] = _BASIC
+                sign[j] = 0.0
+                lob[r], hob[r], cb[r] = lo[j], hi[j], c[j]
+                self._pivot_update(r, w)
+                pivots += 1
+                if pivots % cfg.refactor_every == 0:
+                    self._refactor()
+                    xb = x[basis]
+        finally:
+            x[basis] = xb
 
     def phase_one(self) -> float:
         outcome = self._run(self.ph1_cost)
@@ -235,11 +308,11 @@ class _Engine:
     def drop_artificial(self) -> None:
         """Fix the artificial column at zero, first pivoting it out of the
         basis if phase one left it basic (at zero)."""
-        art, n_real = self.art, self.n_struct + self.m
+        art, n, n_real = self.art, self.n_struct, self.n_struct + self.m
         self._fix_artificial()
         for r in np.flatnonzero(self.basis == art):
             r = int(r)
-            row = self.B_inv[r, :] @ self.A[:, :n_real]
+            row = np.concatenate((self.B_inv[r, :] @ self.A[:, :n], self.B_inv[r, :]))
             row[self.status[:n_real] == _BASIC] = 0.0
             # Prefer a column that can move; a fixed one (an equality slack)
             # holds the row at zero just as well when no other column can.
@@ -251,7 +324,7 @@ class _Engine:
                 raise NumericalBreakdown("the artificial column cannot leave the basis")
             self.basis[r] = jq
             self.status[jq] = _BASIC
-            self._pivot_update(r, self.B_inv @ self.A[:, jq])
+            self._pivot_update(r, self.ftran(jq))
         self._refactor()
 
     def phase_two(self) -> int:
@@ -275,7 +348,7 @@ class _Engine:
             return 0.0
         self.x[self.basis] = clamped
         art = self.art
-        self.A[:, art] = self.b - self.A @ self.x
+        self.A[:, self.n_struct] = self.b - self._times(self.x)
         self.x[art] = self.hi[art] = 1.0
         self.status[art] = _AT_UPPER
         self.fixed[art] = False
@@ -303,12 +376,11 @@ class _Engine:
         return self.restart()
 
     def raw_duals(self, c: np.ndarray) -> np.ndarray:
-        return self.B_inv.T @ c[self.basis] if self.m else np.zeros(0)
+        return self.btran(c[self.basis])
 
     def ray(self) -> np.ndarray:
         r = np.zeros(self.n_tot)
-        if self.m:
-            r[self.basis] = -self.ray_sigma * self.ray_w
+        r[self.basis] = -self.ray_sigma * self.ray_w
         r[self.ray_col] = self.ray_sigma
         return r[: self.n_struct]
 

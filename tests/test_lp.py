@@ -369,6 +369,95 @@ class TestDeterminism:
             assert a.iterations == b.iterations
 
 
+def _engine(lp):
+    return simplex._Engine(lp, SolverConfig())
+
+
+def _basis_matrix(eng, lp, basis):
+    """Columns ``basis`` of [A | I | a], with a the engine's artificial column."""
+    full = np.hstack([lp.row_coeffs, np.eye(lp.n_rows), eng.A[:, [eng.n_struct]]])
+    return full[:, basis]
+
+
+def _refactored(eng, basis):
+    eng.basis = np.asarray(basis, dtype=np.int64)
+    eng._refactor()
+    return eng.B_inv
+
+
+def _dense_lp(rng, m, n):
+    return LinearProgram(
+        sense="min", costs=rng.uniform(-1, 1, n), row_coeffs=rng.uniform(-3, 3, (m, n)),
+        row_relations=(LE,) * m, row_rhs=rng.uniform(-1, 1, m),
+        lower=np.zeros(n), upper=np.full(n, np.inf),
+    )
+
+
+class TestBasisInverse:
+    """The engine's explicit inverse: the pivot update restricted to the
+    pivot row's nonzero columns, and the refactorization that inverts only
+    the block of the basis no basic slack covers."""
+
+    def test_restricted_update_matches_full_outer_update(self):
+        rng = np.random.default_rng(53)
+        for m in (4, 30, 120):
+            eng = _engine(_dense_lp(rng, m, 1))
+            for nnz in sorted({1, 2, m // 10, m // 2, m}):
+                B_inv = rng.standard_normal((m, m))
+                r = int(rng.integers(m))
+                row = np.zeros(m)
+                keep = rng.choice(m, nnz, replace=False)
+                row[keep] = rng.standard_normal(nnz)
+                B_inv[r] = row
+                w = rng.standard_normal(m)
+                w[rng.random(m) < 0.3] = 0.0
+                w[r] = rng.uniform(0.5, 2.0)
+                expected = B_inv.copy()
+                expected[r, :] /= w[r]
+                others = w.copy()
+                others[r] = 0.0
+                expected -= np.outer(others, expected[r, :])
+                eng.B_inv = B_inv.copy()
+                eng._pivot_update(r, w)
+                assert np.array_equal(eng.B_inv, expected)
+
+    def test_refactor_inverts_every_kind_of_basis(self):
+        rng = np.random.default_rng(59)
+        bases = []
+        for m, n in ((1, 3), (6, 9), (25, 30)):
+            lp = _dense_lp(rng, m, n)
+            eng = _engine(lp)
+            eng.A[:, n] = rng.uniform(-1, 1, m)  # the artificial column
+            slack_only = n + np.arange(m)
+            all_structural = rng.permutation(n)[:m]
+            # Slack-heavy: the artificial and k - 1 structural columns take
+            # the rows that no basic slack covers.
+            k = max(1, m // 4)
+            rows = rng.permutation(m)
+            mixed = np.concatenate([[n + m], rng.permutation(n)[: k - 1], n + rows[k:]])
+            bases += [(eng, lp, b) for b in (slack_only, all_structural, rng.permutation(mixed))]
+        checked = 0
+        while checked < 30:
+            lp = random_general_lp(rng, n_max=8, m_max=8)
+            sol = solve_lp(lp)
+            if sol.is_optimal:
+                bases.append((_engine(lp), lp, sol.basis[0]))
+                checked += 1
+        for eng, lp, basis in bases:
+            B_inv = _refactored(eng, basis)
+            B = _basis_matrix(eng, lp, basis)
+            assert np.allclose(B_inv @ B, np.eye(lp.n_rows), atol=1e-9)
+
+    def test_repeated_slack_or_singular_block_raises(self):
+        # rows 0 and 1 are equal, so columns 0 and 1 cannot both be basic
+        lp = _lp("min", [1, 1, 1], [[1, 2, 0], [1, 2, 0], [0, 1, 1]], [LE] * 3,
+                 [1, 1, 1], [0] * 3, [np.inf] * 3)
+        n = lp.n_vars
+        for basis in ([n, n, n + 2], [n + 1, n + 1, 2], [0, 1, n + 2], [2, 2, n]):
+            with pytest.raises(NumericalBreakdown):
+                _refactored(_engine(lp), basis)
+
+
 def _with(lp, **changes):
     fields = dict(
         sense=lp.sense, costs=lp.costs, row_coeffs=lp.row_coeffs,
@@ -627,7 +716,7 @@ class TestFinalCheck:
             for j in range(eng.n_struct):
                 if eng.status[j] == simplex._BASIC:
                     continue
-                w = eng.B_inv @ eng.A[:, j]
+                w = eng.ftran(j)
                 r = int(np.argmax(np.abs(w)))
                 leaving = int(eng.basis[r])
                 if abs(w[r]) < 0.1 or eng.fixed[leaving]:
