@@ -27,6 +27,7 @@ from .calibrate import (
 )
 from .errors import (
     EscapingMassPresent,
+    NormUnsupported,
     SpecFileError,
     WdroError,
 )
@@ -66,9 +67,6 @@ _MATH_ERRORS = (
     "UnboundedPolyhedron",
     "NoCoveringRadius",
 )
-
-_VALID_NORMS = ("l1", "linf")
-
 
 def _fail(message: str, code: int):
     print(f"error: {message}", file=sys.stderr)
@@ -146,14 +144,20 @@ def _parse_polytope(obj, dim: int, where: str) -> Polytope:
         raise SpecFileError(str(exc), field=where) from None
 
 
+def _number(obj, kind, where: str):
+    """``kind(obj)`` for kind int or float; a value that does not convert
+    is a SpecFileError naming ``where``."""
+    try:
+        return kind(obj)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecFileError(f"{where} must be a number", field=where) from None
+
+
 def _parse_norm(obj, where: str) -> GroundNorm:
-    if obj not in _VALID_NORMS:
-        raise SpecFileError(
-            f"unknown norm {obj!r} in {where}; supported norms: "
-            + ", ".join(_VALID_NORMS),
-            field=where,
-        )
-    return GroundNorm(obj)
+    try:
+        return GroundNorm.parse(obj)
+    except NormUnsupported as exc:
+        raise SpecFileError(str(exc), field=where) from None
 
 
 def _parse_loss(obj, dim: int, where: str):
@@ -249,66 +253,6 @@ def parse_problem_spec(doc: dict) -> DroProblem:
         raise
     except WdroError as exc:
         raise SpecFileError(str(exc), field="spec") from None
-
-
-def serialize_problem_spec(p: DroProblem) -> dict:
-    """Canonical JSON form; parsing it again reproduces the problem."""
-
-    def poly(sup: Polytope):
-        if sup.is_free:
-            return "free"
-        return {"C": sup.C.tolist(), "d": sup.d.tolist()}
-
-    loss = p.loss
-    if isinstance(loss, PiecewiseAffineLoss):
-        body = {
-            "type": "max_affine" if loss.kind == "max" else "min_affine",
-            "slopes": loss.slopes.tolist(),
-            "intercepts": loss.intercepts.tolist(),
-        }
-    elif isinstance(loss, EventIndicator):
-        body = {
-            "type": "uq_worst" if loss.sense == "outside" else "uq_best",
-            "region": poly(loss.region),
-        }
-    elif isinstance(loss, TwoStageLoss):
-        if loss.variant == "objective":
-            body = {
-                "type": "two_stage_objective",
-                "Q": loss.Q.tolist(),
-                "W": loss.W.tolist(),
-                "h": loss.h.tolist(),
-            }
-        else:
-            body = {
-                "type": "two_stage_rhs",
-                "q": loss.q.tolist(),
-                "W": loss.W.tolist(),
-                "H": loss.H.tolist(),
-                "h": loss.h.tolist(),
-            }
-    elif isinstance(loss, SeparableLoss):
-        body = {
-            "type": "separable",
-            "stages": [
-                {
-                    "slopes": stage.slopes.tolist(),
-                    "intercepts": stage.intercepts.tolist(),
-                    "support": poly(sup),
-                }
-                for stage, sup in loss.stages
-            ],
-        }
-    else:  # pragma: no cover - exhaustive over public loss types
-        raise SpecFileError(f"unsupported loss {type(loss).__name__}")
-    return {
-        "version": 1,
-        "norm": p.norm.value,
-        "support": poly(p.support),
-        "samples": p.samples.tolist(),
-        "radius": float(p.radius),
-        "loss": body,
-    }
 
 
 def _load_spec_file(path: str) -> dict:
@@ -436,26 +380,31 @@ def cmd_calibrate(args) -> int:
             f"unknown method {method!r}; use holdout, kfold or uq_kfold",
             field="config.method",
         )
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    grid = (
-        _parse_grid_flag(args.grid)
-        if args.grid
-        else tuple(doc["grid"]) if "grid" in doc else None
+    seed = args.seed if args.seed is not None else _number(
+        doc.get("seed", 0), int, "config.seed"
     )
-    folds = args.folds if args.folds is not None else doc.get("folds", 5)
+    if args.grid:
+        grid = _parse_grid_flag(args.grid)
+    elif "grid" in doc:
+        grid = tuple(_matrix(doc["grid"], "config.grid").reshape(-1))
+    else:
+        grid = None
+    folds = args.folds if args.folds is not None else _number(
+        doc.get("folds", 5), int, "config.folds"
+    )
 
     if "samples" in doc:
         data = _parse_samples(doc["samples"], "config.samples")
     elif "market" in doc:
         market = _parse_market(doc["market"], "config.market")
-        n = doc.get("n_samples", 30)
-        data = market.sample(int(n), np.random.default_rng(int(seed)))
+        n = _number(doc.get("n_samples", 30), int, "config.n_samples")
+        data = market.sample(n, np.random.default_rng(seed))
     else:
         raise SpecFileError(
             "config needs either samples or market", field="config.samples"
         )
 
-    result = {"method": method, "seed": int(seed)}
+    result = {"method": method, "seed": seed}
     if method == "uq_kfold":
         if "region" not in doc:
             raise SpecFileError(
@@ -464,7 +413,7 @@ def cmd_calibrate(args) -> int:
         region = _parse_polytope(
             doc["region"], data.shape[1], "config.region"
         )
-        cal = calibrate_uq_kfold(data, region, grid, k=int(folds), seed=int(seed))
+        cal = calibrate_uq_kfold(data, region, grid, k=folds, seed=seed)
         result["bounds"] = [
             {
                 "side": b.side,
@@ -483,10 +432,11 @@ def cmd_calibrate(args) -> int:
         if method == "holdout":
             cal = calibrate_holdout(
                 data, problem, grid,
-                split=float(doc.get("split", 0.8)), seed=int(seed),
+                split=_number(doc.get("split", 0.8), float, "config.split"),
+                seed=seed,
             )
         else:
-            cal = calibrate_kfold(data, problem, grid, k=int(folds), seed=int(seed))
+            cal = calibrate_kfold(data, problem, grid, k=folds, seed=seed)
         result["radius"] = cal.radius
         result["fold_radii"] = list(cal.fold_radii)
         result["score_table"] = [[eps, score] for eps, score in cal.table]
@@ -501,8 +451,13 @@ def _parse_market(obj, where: str) -> MarketModel:
         ("m", "systematic_scale", "idio_mean_step", "idio_scale_step",
          "scale_interpretation"),
     )
+    kwargs = {}
+    for key, value in obj.items():
+        if key != "scale_interpretation":
+            value = _number(value, int if key == "m" else float, f"{where}.{key}")
+        kwargs[key] = value
     try:
-        return MarketModel(**obj)
+        return MarketModel(**kwargs)
     except WdroError as exc:
         raise SpecFileError(str(exc), field=where) from None
 
@@ -542,11 +497,13 @@ def cmd_experiment(args) -> int:
     if args.runs is not None:
         overrides["runs"] = args.runs
     elif "runs" in doc:
-        overrides["runs"] = int(doc["runs"])
+        overrides["runs"] = _number(doc["runs"], int, "config.runs")
     if args.seed is not None:
         overrides["master_seed"] = int(args.seed)
     elif "master_seed" in doc:
-        overrides["master_seed"] = int(doc["master_seed"])
+        overrides["master_seed"] = _number(
+            doc["master_seed"], int, "config.master_seed"
+        )
     out_dir = args.out or doc.get("out_dir")
     if not out_dir:
         raise SpecFileError(

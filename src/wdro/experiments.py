@@ -318,11 +318,13 @@ class PortfolioDecisionProblem:
 def gaussian_orthant_upper(mu, cov, tol: float = 1e-6) -> float:
     """P[Z >= 0] for Z ~ N(mu, cov) in dimension 1 to 3, by conditioning
     the last coordinate on the others and integrating the remaining
-    normal density with adaptive quadrature.  In dimension 3 the first
-    two coordinates are conditioned on unless their covariance block is
-    singular, in which case the best-conditioned other pair is; a
-    covariance of rank at least 2 always has one.  Deterministic;
-    absolute accuracy well under ``tol``."""
+    normal density with adaptive quadrature.  In dimension 2 the first
+    coordinate is conditioned on unless its variance vanishes, in which
+    case the second is.  In dimension 3 the first two coordinates are
+    conditioned on unless their covariance block is singular, in which
+    case the best-conditioned other pair is; a covariance of rank at
+    least 2 always has one.  Deterministic; absolute accuracy well under
+    ``tol``."""
     mu = np.asarray(mu, dtype=float).reshape(-1)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     n = mu.size
@@ -338,6 +340,11 @@ def gaussian_orthant_upper(mu, cov, tol: float = 1e-6) -> float:
         return float(_normal.cdf(mean / sd))
 
     if n == 2:
+        sds = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        if sds[0] < 1e-12:
+            if sds[1] < 1e-12:
+                return float(np.all(mu >= 0.0))
+            mu, cov = mu[::-1], cov[::-1, ::-1]
         s1 = float(np.sqrt(cov[0, 0]))
         slope = cov[1, 0] / cov[0, 0]
         sd2 = float(np.sqrt(max(cov[1, 1] - slope * cov[1, 0], 0.0)))

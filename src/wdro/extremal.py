@@ -1,9 +1,12 @@
-"""Worst-case distributions for max-affine losses.
+"""Worst-case distributions for max-affine and separable losses.
 
 The dual of the worst-case expectation program decides, per (sample,
 piece) pair, how much probability alpha_ik moves and by which
 displacement q_ik, subject to the shared transport budget and to the
-homogenized support rows C(alpha_ik xi_i - q_ik) <= alpha_ik d.  Pairs
+homogenized support rows C(alpha_ik xi_i - q_ik) <= alpha_ik d.  For a
+stagewise-separable loss this transport program is a product of
+per-stage blocks under one budget, and a plain max-affine loss is its
+one-stage case: ``_transport`` alone builds, solves and reads it.  Pairs
 with alpha_ik above ``ATOM_TOL`` become atoms xi_i - q_ik/alpha_ik; pairs
 with vanishing alpha but nonvanishing displacement witness mass that
 attains the supremum only along an unbounded sequence and are reported as
@@ -81,19 +84,20 @@ class MembershipReport:
 
 def _transport_block(b: LpBuilder, m: int, norm: GroundNorm, tag: str):
     """Displacement variables for one (sample, piece) pair plus budget
-    carriers whose sum measures the ground norm of the displacement."""
+    carriers whose sum measures the ground norm of the displacement: one
+    carrier per component for the 1-norm, one shared by all components for
+    the max-norm."""
     q = b.vars(f"q{tag}", m)
     if norm is GroundNorm.L1:
-        u = b.vars(f"u{tag}", m, lb=0.0)
-        for j in range(m):
-            b.add_le({q[j]: 1.0, u[j]: -1.0}, 0.0)
-            b.add_le({q[j]: -1.0, u[j]: -1.0}, 0.0)
-        return q, list(u)
-    r = b.var(f"r{tag}", lb=0.0)
-    for j in range(m):
-        b.add_le({q[j]: 1.0, r: -1.0}, 0.0)
-        b.add_le({q[j]: -1.0, r: -1.0}, 0.0)
-    return q, [r]
+        carriers = b.vars(f"u{tag}", m, lb=0.0)
+        bounding = carriers
+    else:
+        carriers = [b.var(f"r{tag}", lb=0.0)]
+        bounding = carriers * m
+    for qj, c in zip(q, bounding):
+        b.add_le({qj: 1.0, c: -1.0}, 0.0)
+        b.add_le({qj: -1.0, c: -1.0}, 0.0)
+    return q, carriers
 
 
 def _add_support_rows(b: LpBuilder, support: Polytope, xi, alpha, q) -> None:
@@ -135,15 +139,13 @@ def _stage_blocks(b, samples, support, norm, loss, stage_tag, weight):
     return obj, budget, alpha, qvars
 
 
-def _extract(samples, norm, loss, sol, alpha, qvars, stage=None, dim=None, offset=0):
+def _extract(samples, norm, loss, sol, alpha, qvars, dim, offset):
     """Atoms, raw weights and rays from one stage's solved variables.
 
-    Ray directions live in the full sample space: for a stage of a
-    separable loss the displacement is embedded at ``offset`` within
-    ``dim`` zero components."""
+    Ray directions live in the full sample space: the stage's displacement
+    is embedded at ``offset`` within ``dim`` zero components."""
     N = samples.shape[0]
     m, K = loss.dim, loss.n_pieces
-    full_dim = dim if dim is not None else m
     atoms = [[] for _ in range(N)]
     rays = []
     for i in range(N):
@@ -155,31 +157,69 @@ def _extract(samples, norm, loss, sol, alpha, qvars, stage=None, dim=None, offse
             else:
                 qn = norm_value(q, norm)
                 if qn > ATOM_TOL:
-                    direction = np.zeros(full_dim)
+                    direction = np.zeros(dim)
                     direction[offset : offset + m] = -q / qn
                     slope = float(loss.slopes[k] @ direction[offset : offset + m])
                     rays.append(EscapeRay(i, k, direction, slope))
     return atoms, rays
 
 
-def _package(atom_tuples, rays, objective, N) -> ExtremalResult:
+def _transport(p: DroProblem, stages) -> ExtremalResult:
+    """Build, solve and read the transport program of a sum of max-affine
+    stages, given as (loss, support) pairs over consecutive coordinate
+    blocks of the samples.  Per-stage blocks share one budget; the atoms
+    of each sample are all combinations of its per-stage conditional
+    atoms."""
+    N = p.n_samples
+    b = LpBuilder("max")
+    obj, budget, handles = {}, [], []
+    start = 0
+    for t, (loss, support) in enumerate(stages):
+        block = slice(start, start + loss.dim)
+        start = block.stop
+        o, carriers, alpha, qvars = _stage_blocks(
+            b, p.samples[:, block], support, p.norm, loss, f"[{t}]", 1.0 / N
+        )
+        obj.update(o)
+        budget.extend(carriers)
+        handles.append((block, loss, alpha, qvars))
+    b.add_le({v: 1.0 for v in budget}, N * p.radius)
+    b.set_objective(obj)
+    sol = solve_lp(b.build())
+    if not sol.is_optimal:
+        raise WdroError(f"transport program ended {sol.status}")
+
+    per_stage_atoms, rays = [], []
+    for block, loss, alpha, qvars in handles:
+        atoms_t, rays_t = _extract(
+            p.samples[:, block], p.norm, loss, sol, alpha, qvars, p.dim, block.start
+        )
+        per_stage_atoms.append(atoms_t)
+        rays.extend(rays_t)
+
     points, weights = [], []
-    for pt, w in atom_tuples:
-        points.append(pt)
-        weights.append(w)
+    for i in range(N):
+        combos = [(np.empty(0), 1.0)]
+        for atoms_t in per_stage_atoms:
+            combos = [
+                (np.concatenate([pt, pt_t]), w * w_t)
+                for pt, w in combos
+                for pt_t, w_t in atoms_t[i]
+            ]
+        for pt, w in combos:
+            points.append(pt)
+            weights.append(w / N)
     if not points:
         raise WdroError("no atoms survived thresholding; degenerate program")
-    points = np.asarray(points)
     weights = np.asarray(weights)
     raw_retained = float(weights.sum())
-    esc = max(0.0, 1.0 - raw_retained)
-    escaping = max(esc, ATOM_TOL) if rays else 0.0
-    dist = merge_atoms(DiscreteDistribution(points, weights / raw_retained))
+    escaping = max(1.0 - raw_retained, ATOM_TOL) if rays else 0.0
+    dist = merge_atoms(DiscreteDistribution(np.asarray(points), weights / raw_retained))
     return ExtremalResult(
         distribution=dist,
         escaping_mass=escaping,
         escape_rays=tuple(rays),
-        objective_value=objective,
+        objective_value=sol.objective_value,
     )
 
 
@@ -190,22 +230,7 @@ def worst_case_distribution(p: DroProblem) -> ExtremalResult:
         raise DimensionMismatch(
             "worst-case distributions are built for max-affine losses"
         )
-    loss = p.loss
-    N = p.n_samples
-
-    b = LpBuilder("max")
-    obj, budget, alpha, qvars = _stage_blocks(
-        b, p.samples, p.support, p.norm, loss, "", 1.0 / N
-    )
-    b.add_le({v: 1.0 for v in budget}, N * p.radius)
-    b.set_objective(obj)
-    sol = solve_lp(b.build())
-    if not sol.is_optimal:
-        raise WdroError(f"transport program ended {sol.status}")
-
-    atoms, rays = _extract(p.samples, p.norm, loss, sol, alpha, qvars)
-    flat = [(pt, w / N) for per_sample in atoms for pt, w in per_sample]
-    return _package(flat, rays, sol.objective_value, N)
+    return _transport(p, ((p.loss, p.support),))
 
 
 def worst_case_distribution_separable(p: DroProblem) -> ExtremalResult:
@@ -214,52 +239,7 @@ def worst_case_distribution_separable(p: DroProblem) -> ExtremalResult:
     the per-stage conditional atoms of each sample."""
     if not isinstance(p.loss, SeparableLoss):
         raise DimensionMismatch("expected a separable loss")
-    sep = p.loss
-    N, dim = p.n_samples, p.dim
-    slices = sep.stage_slices()
-
-    b = LpBuilder("max")
-    obj, budget = {}, []
-    handles = []
-    for t, (loss, support) in enumerate(sep.stages):
-        o, carriers, alpha, qvars = _stage_blocks(
-            b, p.samples[:, slices[t]], support, p.norm, loss, f"[{t}]", 1.0 / N
-        )
-        obj.update(o)
-        budget.extend(carriers)
-        handles.append((loss, alpha, qvars))
-    b.add_le({v: 1.0 for v in budget}, N * p.radius)
-    b.set_objective(obj)
-    sol = solve_lp(b.build())
-    if not sol.is_optimal:
-        raise WdroError(f"transport program ended {sol.status}")
-
-    per_stage_atoms, rays = [], []
-    for t, (loss, alpha, qvars) in enumerate(handles):
-        atoms_t, rays_t = _extract(
-            p.samples[:, slices[t]],
-            p.norm,
-            loss,
-            sol,
-            alpha,
-            qvars,
-            dim=dim,
-            offset=slices[t].start,
-        )
-        per_stage_atoms.append(atoms_t)
-        rays.extend(rays_t)
-
-    flat = []
-    for i in range(N):
-        combos = [(np.empty(0), 1.0)]
-        for t in range(len(sep.stages)):
-            combos = [
-                (np.concatenate([pt, pt_t]), w * w_t)
-                for pt, w in combos
-                for pt_t, w_t in per_stage_atoms[t][i]
-            ]
-        flat.extend((pt, w / N) for pt, w in combos)
-    return _package(flat, rays, sol.objective_value, N)
+    return _transport(p, p.loss.stages)
 
 
 def verify_membership(result: ExtremalResult, p: DroProblem) -> MembershipReport:

@@ -162,14 +162,14 @@ class SolverConfig:
     check before a solution is reported optimal.  Pricing starts with the
     largest-violation rule and falls back to Bland's least-index rule after
     ``bland_after(n_vars, n_rows)`` iterations, which guarantees
-    termination on degenerate programs.
+    termination on degenerate programs.  How often the basis inverse is
+    rebuilt is fixed by the engine (``simplex.REFACTOR_EVERY``).
     """
 
     feas_tol: float = 1e-9
     opt_tol: float = 1e-9
     gap_tol: float = 1e-8
     pivot_tol: float = 1e-10
-    refactor_every: int = 100
     max_iterations: int = 2_000_000
 
     @staticmethod

@@ -54,7 +54,7 @@ from .geometry import (
     nearest_point,
     norm_value,
 )
-from .lp import LinearProgram, LpBuilder, LpSolution, SolverConfig, Var
+from .lp import LinearProgram, LpBuilder, LpSolution, Var
 from .simplex import solve_lp
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "build_separable",
     "convex_closed_form",
     "worst_case_value",
-    "solve_worst_case",
 ]
 
 
@@ -629,18 +628,10 @@ def _builder_for(loss: Loss):
     raise DimensionMismatch(f"unsupported loss type {type(loss).__name__}")
 
 
-def solve_worst_case(
-    p: DroProblem, config: SolverConfig | None = None
-) -> tuple[float, LpSolution]:
-    """Build, solve and interpret the reformulation.  An unbounded program
-    means the worst-case expectation is +inf."""
-    return _solve_program(_builder_for(p.loss)(p), config)
-
-
-def _solve_program(
-    lp: LinearProgram, config: SolverConfig | None = None
-) -> tuple[float, LpSolution]:
-    sol = solve_lp(lp, config)
+def _solve_program(lp: LinearProgram) -> tuple[float, LpSolution]:
+    """Solve a reformulation; an unbounded program means the worst-case
+    expectation is +inf."""
+    sol = solve_lp(lp)
     if sol.status == "optimal":
         return sol.objective_value, sol
     if sol.status == "unbounded":
@@ -651,5 +642,6 @@ def _solve_program(
     )
 
 
-def worst_case_value(p: DroProblem, config: SolverConfig | None = None) -> float:
-    return solve_worst_case(p, config)[0]
+def worst_case_value(p: DroProblem) -> float:
+    """Build, solve and interpret the reformulation of ``p``."""
+    return _solve_program(_builder_for(p.loss)(p))[0]

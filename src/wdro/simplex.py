@@ -7,7 +7,7 @@ at zero).  Free variables are handled directly by the bounded-variable
 rules, never split into differences.
 
 The basis inverse is kept explicitly, updated by row operations after each
-pivot and rebuilt every ``refactor_every`` pivots, and each step costs what
+pivot and rebuilt every ``REFACTOR_EVERY`` pivots, and each step costs what
 the basis holds rather than its full size.  The Wasserstein programs give
 every sample its own block of rows, so an optimal basis is mostly slack
 columns and B^-1 is mostly zeros.  A rebuild inverts only the block
@@ -70,6 +70,9 @@ __all__ = ["solve_lp"]
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
 
 _OPTIMAL, _UNBOUNDED, _ITER_LIMIT = 0, 1, 2
+
+# pivots between rebuilds of the basis inverse
+REFACTOR_EVERY = 100
 
 
 def _slack_bounds(relations) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +287,7 @@ class _Engine:
                 lob[r], hob[r], cb[r] = lo[j], hi[j], c[j]
                 self._pivot_update(r, w)
                 pivots += 1
-                if pivots % cfg.refactor_every == 0:
+                if pivots % REFACTOR_EVERY == 0:
                     self._refactor()
                     xb = x[basis]
         finally:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from wdro.cli import main, parse_problem_spec, serialize_problem_spec
+from wdro.cli import main, parse_problem_spec
 from wdro.errors import SpecFileError
+from wdro.geometry import GroundNorm
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -216,15 +217,12 @@ class TestRoundTrip:
         doc["support"] = "free"
         yield doc
 
-    def test_parse_serialize_parse_is_identity(self):
+    def test_every_loss_type_parses(self):
         for doc in self.specs():
             problem = parse_problem_spec(doc)
-            canonical = serialize_problem_spec(problem)
-            again = parse_problem_spec(canonical)
-            assert serialize_problem_spec(again) == canonical
-            assert np.array_equal(again.samples, problem.samples)
-            assert again.radius == problem.radius
-            assert again.norm is problem.norm
+            assert np.array_equal(problem.samples, np.asarray(doc["samples"]))
+            assert problem.radius == doc["radius"]
+            assert problem.norm is GroundNorm(doc["norm"])
 
     def test_rejects_missing_and_extra_loss_keys(self):
         doc = hinge_spec()
@@ -301,6 +299,42 @@ class TestCalibrate:
         code = main(["calibrate", "--spec", write_spec(tmp_path, config)])
         assert code == 1
         assert "config.samples.csv" in capsys.readouterr().err
+
+
+# a malformed number in a calibrate or experiment config, and its field
+MALFORMED_NUMBERS = [
+    ("calibrate", {"method": "kfold", "market": {}, "folds": "five"},
+     "config.folds"),
+    ("calibrate", {"method": "kfold", "market": {}, "seed": "s"},
+     "config.seed"),
+    ("calibrate", {"method": "kfold", "market": {}, "n_samples": [3]},
+     "config.n_samples"),
+    ("calibrate", {"method": "holdout", "market": {}, "split": "most"},
+     "config.split"),
+    ("calibrate", {"method": "kfold", "market": {}, "grid": ["tiny"]},
+     "config.grid"),
+    ("calibrate", {"method": "kfold", "market": {"m": "ten"}},
+     "config.market.m"),
+    ("calibrate", {"method": "kfold", "market": {"idio_mean_step": None}},
+     "config.market.idio_mean_step"),
+    ("experiment", {"study": "uq", "runs": "many", "out_dir": "x"},
+     "config.runs"),
+    ("experiment", {"study": "uq", "master_seed": {}, "out_dir": "x"},
+     "config.master_seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    MALFORMED_NUMBERS,
+    ids=[field for _, _, field in MALFORMED_NUMBERS],
+)
+def test_malformed_config_number_names_the_field(
+    tmp_path, capsys, command, config, field
+):
+    code = main([command, "--spec", write_spec(tmp_path, config)])
+    assert code == 1
+    assert f"(field: {field})" in capsys.readouterr().err
 
 
 class TestExperiment:

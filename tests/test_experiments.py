@@ -287,6 +287,23 @@ class TestOrthantOracle:
             assert 0.01 < expected < 0.99
         assert got == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("asset, zero_row", [(8, 0), (9, 1)], ids=["e8", "e9"])
+    def test_two_assets_with_one_zero_row(self, asset, zero_row):
+        # outperforming assets 8 and 9 while holding one of them: that
+        # asset's event row is zero, so one coordinate has variance 0
+        market = MarketModel()
+        x = np.zeros(market.m)
+        x[asset] = 1.0
+        G = outperformance_region(x, (8, 9)).C
+        mu, cov = -G @ market.mean(), G @ market.covariance() @ G.T
+        assert cov[zero_row, zero_row] == 0.0 and mu[zero_row] == 0.0
+        # the zero row holds surely; the other is a normal tail
+        other = 1 - zero_row
+        expected = norm.cdf(mu[other] / np.sqrt(cov[other, other]))
+        assert 0.01 < expected < 0.99
+        got = gaussian_orthant_upper(mu, cov)
+        assert got == pytest.approx(expected, abs=1e-6)
+
     def test_rank_one_covariance_is_rejected(self):
         with pytest.raises(DimensionMismatch):
             gaussian_orthant_upper(np.zeros(3), np.ones((3, 3)))

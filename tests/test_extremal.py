@@ -209,6 +209,38 @@ class TestSeparable:
         dist = wasserstein_distance(sep.distribution, plain.distribution, L1)
         assert dist == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+    @pytest.mark.parametrize("boxed", [True, False], ids=["box", "free"])
+    def test_plain_loss_is_the_one_stage_program(self, norm, boxed):
+        # a plain max-affine loss and the one-stage separable loss over the
+        # same support solve one transport program, so the results agree
+        # bit for bit
+        rng = np.random.default_rng(69)
+        cases = [(PiecewiseAffineLoss([[0.0, 0.0], [1.0, 0.5]], [0.0, -1.0]),
+                  np.zeros((1, 2)), 0.5)]  # escaping mass on a free support
+        for _ in range(4):
+            loss = PiecewiseAffineLoss(rng.normal(size=(3, 2)), rng.normal(size=3))
+            X = rng.uniform(-1, 1, size=(4, 2))
+            cases.append((loss, X, rng.uniform(0.05, 0.8)))
+        support = Polytope.box([-2.0, -2.0], [2.0, 2.0]) if boxed else Polytope.free(2)
+        escapes = 0
+        for loss, X, eps in cases:
+            plain = worst_case_distribution(DroProblem(X, support, eps, norm, loss))
+            sep = worst_case_distribution_separable(
+                DroProblem(X, Polytope.free(2), eps, norm,
+                           SeparableLoss(((loss, support),)))
+            )
+            assert sep.objective_value == plain.objective_value
+            assert sep.escaping_mass == plain.escaping_mass
+            assert np.array_equal(sep.distribution.points, plain.distribution.points)
+            assert np.array_equal(sep.distribution.weights, plain.distribution.weights)
+            assert len(sep.escape_rays) == len(plain.escape_rays)
+            for a, b in zip(sep.escape_rays, plain.escape_rays):
+                assert (a.sample, a.piece, a.slope) == (b.sample, b.piece, b.slope)
+                assert np.array_equal(a.direction, b.direction)
+            escapes += len(plain.escape_rays) > 0
+        assert escapes == 0 if boxed else escapes >= 1
+
     def test_two_stage_value_and_membership(self):
         rng = np.random.default_rng(66)
         for trial in range(5):
