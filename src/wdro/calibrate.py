@@ -53,6 +53,9 @@ DEFAULT_GRID = tuple(float(x) for x in np.geomspace(1e-4, 1.0, 30))
 # relative tolerance under which validation scores tie; see the module docstring
 SCORE_TIE_RTOL = 1e-9
 
+# absolute slack with which a uq bound covers a validation frequency
+DOMINANCE_TOL = 1e-12
+
 
 class DecisionProblem(Protocol):
     """What the data-driven calibrators need from a decision problem:
@@ -267,14 +270,13 @@ def calibrate_uq_kfold(
     norm: GroundNorm = GroundNorm.L1,
     side: str = "both",
     bound_fns=None,
-    dominance_tol: float = 1e-12,
 ) -> CalibrationResult:
     """Probability-bracket calibration.
 
     Per fold and per side, the selected radius is the smallest grid point
     whose training-data bound covers the validation frequency of the
     region: upper bound >= frequency, lower bound <= frequency (within
-    ``dominance_tol``).  Fold radii are averaged per side and the
+    ``DOMINANCE_TOL``).  Fold radii are averaged per side and the
     full-data bounds are evaluated at the averaged radii.
 
     ``bound_fns`` may inject faster evaluators (samples, eps) -> value
@@ -309,9 +311,9 @@ def calibrate_uq_kfold(
             chosen = None
             for eps in grid:
                 if s == "upper":
-                    covered = j_plus(train_data, eps) >= freq - dominance_tol
+                    covered = j_plus(train_data, eps) >= freq - DOMINANCE_TOL
                 else:
-                    covered = j_minus(train_data, eps) <= freq + dominance_tol
+                    covered = j_minus(train_data, eps) <= freq + DOMINANCE_TOL
                 if covered:
                     chosen = eps
                     break

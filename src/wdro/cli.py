@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -145,12 +146,18 @@ def _parse_polytope(obj, dim: int, where: str) -> Polytope:
 
 
 def _number(obj, kind, where: str):
-    """``kind(obj)`` for kind int or float; a value that does not convert
-    is a SpecFileError naming ``where``."""
+    """``kind(obj)`` for kind int or float; a value that does not convert,
+    a non-finite float or a fractional int is a SpecFileError naming
+    ``where``."""
     try:
-        return kind(obj)
+        value = kind(obj)
     except (TypeError, ValueError, OverflowError):
         raise SpecFileError(f"{where} must be a number", field=where) from None
+    if kind is float and not math.isfinite(value):
+        raise SpecFileError(f"{where} must be finite", field=where)
+    if isinstance(obj, float) and value != obj:
+        raise SpecFileError(f"{where} must be a whole number", field=where)
+    return value
 
 
 def _parse_norm(obj, where: str) -> GroundNorm:

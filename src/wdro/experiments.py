@@ -6,8 +6,10 @@ the weights and the CVaR threshold.  Out-of-sample quality is evaluated
 in closed form under the market model; in-sample validation uses the
 exact empirical mean-CVaR.  The probability study brackets the chance of
 an outperformance event between best- and worst-case bounds, compared
-against the exact Gaussian probability from a deterministic quadrature
-oracle.
+against the exact Gaussian probability from a deterministic orthant
+oracle: the bivariate orthant in closed form through Owen's T, and the
+trivariate one by conditioning on one coordinate and integrating the
+bivariate orthant of the other two with one adaptive quadrature.
 
 Every study is driven by one master seed through a splittable scheme
 (one child sequence per run, then per sample-size arm), so reports and
@@ -24,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy import integrate
+from scipy.special import ndtr, owens_t
 from scipy.stats import norm as _normal
 
-from .calibrate import calibrate_holdout, calibrate_kfold
+from .calibrate import calibrate_holdout, calibrate_kfold, calibrate_uq_kfold
 from .errors import (
     DimensionMismatch,
     EmptySupport,
@@ -315,88 +318,73 @@ class PortfolioDecisionProblem:
         return portfolio_empirical_objective(self.spec, decision.weights, samples)
 
 
-def gaussian_orthant_upper(mu, cov, tol: float = 1e-6) -> float:
-    """P[Z >= 0] for Z ~ N(mu, cov) in dimension 1 to 3, by conditioning
-    the last coordinate on the others and integrating the remaining
-    normal density with adaptive quadrature.  In dimension 2 the first
-    coordinate is conditioned on unless its variance vanishes, in which
-    case the second is.  In dimension 3 the first two coordinates are
-    conditioned on unless their covariance block is singular, in which
-    case the best-conditioned other pair is; a covariance of rank at
-    least 2 always has one.  Deterministic; absolute accuracy well under
-    ``tol``."""
+# absolute accuracy of the orthant oracle, recorded in uq study manifests
+ORTHANT_TOL = 1e-6
+
+
+def _tail(mean, sd) -> float:
+    """P[N(mean, sd^2) >= 0]; an sd below 1e-12 is a point mass."""
+    return float(mean >= 0.0) if sd < 1e-12 else float(ndtr(mean / sd))
+
+
+def _orthant2(mu, cov) -> float:
+    """P[Z >= 0] for Z ~ N(mu, cov) in dimension 2 by Owen's (1956) closed
+    form Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta, with h and k
+    the standardized means, r the correlation and T Owen's T function."""
+    s = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    if s.min() < 1e-12:
+        i = int(np.argmin(s))
+        return float(mu[i] >= 0.0) * _tail(mu[1 - i], s[1 - i])
+    h, k = mu / s
+    r = float(np.clip(cov[0, 1] / (s[0] * s[1]), -1.0, 1.0))
+    if r == 1.0:
+        return float(ndtr(min(h, k)))
+    if r == -1.0:
+        return max(float(ndtr(h) + ndtr(k)) - 1.0, 0.0)
+    if h == 0.0 and k == 0.0:
+        return 0.25 + float(np.arcsin(r)) / (2.0 * np.pi)
+    q = np.sqrt(1.0 - r * r)
+    a_h = (k - r * h) / (h * q) if h != 0.0 else np.copysign(np.inf, k)
+    a_k = (h - r * k) / (k * q) if k != 0.0 else np.copysign(np.inf, h)
+    beta = 0.5 if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0) else 0.0
+    t = owens_t(h, a_h) + owens_t(k, a_k)
+    return float(0.5 * (ndtr(h) + ndtr(k)) - t - beta)
+
+
+def gaussian_orthant_upper(mu, cov) -> float:
+    """P[Z >= 0] for Z ~ N(mu, cov) in dimension 1 to 3, for any positive
+    semidefinite covariance.  Dimension 2 is the closed-form bivariate
+    orthant; dimension 3 conditions on its coordinate of largest variance
+    and integrates the other two's bivariate orthant with one adaptive
+    quadrature.  Deterministic; absolute accuracy well under ORTHANT_TOL."""
     mu = np.asarray(mu, dtype=float).reshape(-1)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     n = mu.size
     if cov.shape != (n, n):
         raise DimensionMismatch("covariance shape does not match mean")
     if n == 1:
-        sd = float(np.sqrt(cov[0, 0]))
-        return float(_normal.cdf(mu[0] / sd)) if sd > 0 else float(mu[0] >= 0.0)
-
-    def tail(mean, sd):
-        if sd < 1e-12:
-            return 1.0 if mean >= 0.0 else 0.0
-        return float(_normal.cdf(mean / sd))
-
+        return _tail(mu[0], np.sqrt(max(cov[0, 0], 0.0)))
     if n == 2:
-        sds = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        if sds[0] < 1e-12:
-            if sds[1] < 1e-12:
-                return float(np.all(mu >= 0.0))
-            mu, cov = mu[::-1], cov[::-1, ::-1]
-        s1 = float(np.sqrt(cov[0, 0]))
-        slope = cov[1, 0] / cov[0, 0]
-        sd2 = float(np.sqrt(max(cov[1, 1] - slope * cov[1, 0], 0.0)))
+        return _orthant2(mu, cov)
+    if n != 3:
+        raise DimensionMismatch("orthant oracle supports dimensions 1 to 3")
+    j = int(np.argmax(np.diag(cov)))
+    sd = float(np.sqrt(max(cov[j, j], 0.0)))
+    if sd < 1e-12:
+        return float(np.all(mu >= 0.0))
+    rest = [i for i in range(3) if i != j]
+    slope = cov[rest, j] / sd
+    rest_cov = cov[np.ix_(rest, rest)] - np.outer(slope, slope)
 
-        def integrand(z1):
-            cond_mean = mu[1] + slope * (z1 - mu[0])
-            return _normal.pdf((z1 - mu[0]) / s1) / s1 * tail(cond_mean, sd2)
+    def integrand(x):
+        return np.exp(-0.5 * x * x) * _orthant2(mu[rest] + slope * x, rest_cov)
 
-        val, _ = integrate.quad(
-            integrand, 0.0, np.inf, epsabs=tol * 1e-2, epsrel=1e-10, limit=200
-        )
-        return float(val)
-    if n == 3:
-
-        def conditioning(pair) -> float:
-            S = cov[np.ix_(pair, pair)]
-            scale = S[0, 0] * S[1, 1]
-            return float(np.linalg.det(S)) / scale if scale > 0.0 else 0.0
-
-        pair = (0, 1)
-        if conditioning(pair) <= 1e-12:
-            pair = max([(0, 2), (1, 2)], key=conditioning)
-            if conditioning(pair) <= 1e-12:
-                raise DimensionMismatch(
-                    "orthant oracle needs a covariance of rank at least 2"
-                )
-        order = [*pair, 3 - sum(pair)]
-        mu, cov = mu[order], cov[np.ix_(order, order)]
-        S = cov[:2, :2]
-        S_inv = np.linalg.inv(S)
-        det = float(np.linalg.det(S))
-        w = cov[2, :2] @ S_inv
-        sd3 = float(np.sqrt(max(cov[2, 2] - float(w @ cov[:2, 2]), 0.0)))
-        norm_const = 1.0 / (2.0 * np.pi * np.sqrt(det))
-
-        def integrand(z2, z1):
-            d = np.array([z1 - mu[0], z2 - mu[1]])
-            dens = norm_const * np.exp(-0.5 * float(d @ S_inv @ d))
-            cond_mean = mu[2] + float(w @ d)
-            return dens * tail(cond_mean, sd3)
-
-        val, _ = integrate.dblquad(
-            integrand,
-            0.0,
-            np.inf,
-            0.0,
-            np.inf,
-            epsabs=tol * 1e-2,
-            epsrel=1e-9,
-        )
-        return float(val)
-    raise DimensionMismatch("orthant oracle supports dimensions 1 to 3")
+    # Z_j >= 0 from x = -mu_j / sd on; the density is below 1e-300 past 40
+    lower = float(np.clip(-mu[j] / sd, -40.0, 40.0))
+    val, _ = integrate.quad(
+        integrand, lower, 40.0, epsabs=ORTHANT_TOL * 1e-2, epsrel=1e-10, limit=200
+    )
+    return float(val / np.sqrt(2.0 * np.pi))
 
 
 def outperformance_region(weights: np.ndarray, assets) -> Polytope:
@@ -718,9 +706,6 @@ def run_uq_study(config: UqStudyConfig) -> StudyReport:
     template = PortfolioDecisionProblem(spec)
     assets = list(range(market.m - config.risky_assets, market.m))
     run_seqs = np.random.SeedSequence(config.master_seed).spawn(config.runs)
-
-    from .calibrate import calibrate_uq_kfold
-
     curve_rows, cal_rows = [], []
     for r in range(config.runs):
         arm_seqs = run_seqs[r].spawn(len(config.n_values))
@@ -792,7 +777,7 @@ def run_uq_study(config: UqStudyConfig) -> StudyReport:
         "uq_grid": list(map(float, config.uq_grid)),
         "k_folds": config.k_folds,
         "risky_assets": config.risky_assets,
-        "orthant_oracle_tol": 1e-6,
+        "orthant_oracle_tol": ORTHANT_TOL,
         "versions": _versions(),
     }
     tables = {

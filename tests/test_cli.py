@@ -1,6 +1,7 @@
 """Command-line round trips, exit codes and artifact determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -323,15 +324,31 @@ MALFORMED_NUMBERS = [
      "config.master_seed"),
 ]
 
+# a number that converts but not exactly: a fractional int or a
+# non-finite float
+INEXACT_NUMBERS = [
+    ("calibrate", {"method": "kfold", "market": {}, "folds": 2.5},
+     "config.folds"),
+    ("calibrate", {"method": "kfold", "market": {"systematic_scale": math.inf}},
+     "config.market.systematic_scale"),
+    ("calibrate", {"method": "holdout", "market": {}, "split": math.nan},
+     "config.split"),
+    ("experiment", {"study": "uq", "runs": 1.5, "out_dir": "x"},
+     "config.runs"),
+]
+
 
 @pytest.mark.parametrize(
     "command, config, field",
-    MALFORMED_NUMBERS,
-    ids=[field for _, _, field in MALFORMED_NUMBERS],
+    MALFORMED_NUMBERS + INEXACT_NUMBERS,
+    ids=[field for _, _, field in MALFORMED_NUMBERS]
+    + [f"{field}-inexact" for _, _, field in INEXACT_NUMBERS],
 )
 def test_malformed_config_number_names_the_field(
-    tmp_path, capsys, command, config, field
+    tmp_path, capsys, monkeypatch, command, config, field
 ):
+    # a relative out_dir lands in the temporary directory if a study runs
+    monkeypatch.chdir(tmp_path)
     code = main([command, "--spec", write_spec(tmp_path, config)])
     assert code == 1
     assert f"(field: {field})" in capsys.readouterr().err

@@ -4,12 +4,13 @@ harnesses.
 Oracles: the sample-average anchor is checked against a directly coded
 mean-CVaR linear program solved by scipy; the closed-form out-of-sample
 objective against Monte Carlo; the orthant oracle against product and
-equicorrelated closed forms; the fast probability bounds against the
-generic worst-/best-case programs.
+zero-mean closed forms and a one-dimensional quadrature; the fast
+probability bounds against the generic worst-/best-case programs.
 """
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.optimize import linprog
 from scipy.stats import multivariate_normal, norm
 
@@ -238,16 +239,44 @@ class TestOrthantOracle:
         )
         assert v3 == pytest.approx(expected, abs=1e-7)
 
-    def test_equicorrelated_closed_form(self):
-        # P[Z >= 0] = 1/8 + 3 arcsin(rho) / (4 pi) for standardized
-        # trivariate normals with equal pairwise correlation
-        for rho in (0.0, 0.3, 0.7, -0.2):
-            C = np.full((3, 3), rho)
-            np.fill_diagonal(C, 1.0)
-            v = gaussian_orthant_upper(np.zeros(3), C)
-            assert v == pytest.approx(
-                0.125 + 3.0 / (4.0 * np.pi) * np.arcsin(rho), abs=1e-7
-            )
+    @pytest.mark.parametrize(
+        "C",
+        [
+            *[np.full((3, 3), rho) + (1.0 - rho) * np.eye(3)
+              for rho in (0.0, 0.3, 0.7, -0.2)],
+            np.array([[6.64, 7.23, -0.12], [7.23, 8.29, -0.24], [-0.12, -0.24, 1.0]]),
+            np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 9.0]]),
+            np.ones((3, 3)),
+        ],
+        ids=["rho0", "rho0.3", "rho0.7", "rho-0.2", "strong-unequal",
+             "perfect-pair", "rank-one"],
+    )
+    def test_zero_mean_closed_form(self, C):
+        # P[Z >= 0] = 1/8 + (asin r01 + asin r02 + asin r12) / (4 pi) for
+        # zero-mean trivariate normals, r_ij the pairwise correlations
+        sd = np.sqrt(np.diag(C))
+        r = C / np.outer(sd, sd)
+        expected = 0.125 + (
+            np.arcsin(r[0, 1]) + np.arcsin(r[0, 2]) + np.arcsin(r[1, 2])
+        ) / (4.0 * np.pi)
+        v = gaussian_orthant_upper(np.zeros(3), C)
+        assert v == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "mu", [[0.4, -0.7], [0.0, 0.5]], ids=["mixed-signs", "zero-mean"]
+    )
+    def test_bivariate_against_quadrature(self, mu):
+        # condition on the first coordinate: P = int_0^inf density_1 *
+        # P[Z_2 >= 0 | Z_1 = z] dz, a normal pdf times a normal cdf
+        C = np.array([[1.5, -0.9], [-0.9, 2.0]])
+        slope = C[1, 0] / C[0, 0]
+        sd2 = np.sqrt(C[1, 1] - slope * C[1, 0])
+        expected, _ = integrate.quad(
+            lambda z: norm.pdf(z, mu[0], np.sqrt(C[0, 0]))
+            * norm.cdf((mu[1] + slope * (z - mu[0])) / sd2),
+            0.0, np.inf, epsabs=1e-13, epsrel=1e-12,
+        )
+        assert gaussian_orthant_upper(mu, C) == pytest.approx(expected, abs=1e-10)
 
     def test_deterministic_and_bounded_dimensions(self):
         C = np.full((3, 3), 0.4)
@@ -303,10 +332,6 @@ class TestOrthantOracle:
         assert 0.01 < expected < 0.99
         got = gaussian_orthant_upper(mu, cov)
         assert got == pytest.approx(expected, abs=1e-6)
-
-    def test_rank_one_covariance_is_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            gaussian_orthant_upper(np.zeros(3), np.ones((3, 3)))
 
 
 class TestFastUqBounds:
