@@ -146,9 +146,11 @@ def _parse_polytope(obj, dim: int, where: str) -> Polytope:
 
 
 def _number(obj, kind, where: str):
-    """``kind(obj)`` for kind int or float; a value that does not convert,
-    a non-finite float or a fractional int is a SpecFileError naming
-    ``where``."""
+    """``kind(obj)`` for kind int or float; a boolean, a value that does
+    not convert, a non-finite float or a fractional int is a SpecFileError
+    naming ``where``."""
+    if isinstance(obj, bool):
+        raise SpecFileError(f"{where} must be a number, not a boolean", field=where)
     try:
         value = kind(obj)
     except (TypeError, ValueError, OverflowError):

@@ -38,7 +38,7 @@ from .errors import (
     WdroError,
 )
 from .geometry import GroundNorm, Polytope, dual_norm_value, nearest_point
-from .lp import LinearProgram, LpBuilder
+from .lp import EQ, LE, LinearProgram, _check_dense_size
 from .reformulate import _Assembler
 from .simplex import solve_lp
 
@@ -192,37 +192,43 @@ def _solve_portfolio_free(spec, data, epsilon, warm=None):
     """Free-support shortcut: the optimal multiplier is known to be
     max_k |a_k| times the dual norm of x, so the program shrinks to the
     sample mean-CVaR plus a norm-of-weights penalty.  Equivalent to the
-    joint program (tested); roughly halves the row count."""
+    joint program (tested); roughly halves the row count.
+
+    Columns: x (m, >= 0), tau (free), t (>= 0, the dual norm of x) and the
+    hinges z (N, >= 0).  Rows: sum(x) = 1; -xi_i.x - tau - z_i <= 0 per
+    sample; then the dual-norm epigraph (x >= 0 keeps it one-sided),
+    x_j - t <= 0 per asset for the L1 ground norm or sum(x) - t <= 0 for
+    Linf.  ``0.0 - data``, not ``-data``, keeps a zero sample at +0.0."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     N, m = data.shape
     a_coef, _ = spec.pieces()
     kappa = float(np.max(np.abs(a_coef)))
-
-    b = LpBuilder("min")
-    x = b.vars("x", m, lb=0.0)
-    tau = b.var("tau")
-    t = b.var("t", lb=0.0)  # dual norm of x
-    z = b.vars("z", N, lb=0.0)  # hinge (loss - tau)+
-    obj = {t: epsilon * kappa, tau: spec.rho}
-    for j in range(m):
-        obj[x[j]] = obj.get(x[j], 0.0) - float(np.mean(data[:, j]))
-    for zi in z:
-        obj[zi] = spec.rho / (spec.alpha * N)
-    b.set_objective(obj)
-    b.add_eq({xj: 1.0 for xj in x}, 1.0)
-    for i in range(N):
-        row = {z[i]: -1.0, tau: -1.0}
-        for j in range(m):
-            if data[i, j] != 0.0:
-                row[x[j]] = row.get(x[j], 0.0) - data[i, j]
-        b.add_le(row, 0.0)
-    # epigraph of the dual norm of x (x >= 0 keeps it one-sided)
-    if spec.ground_norm is GroundNorm.L1:
-        for j in range(m):
-            b.add_le({x[j]: 1.0, t: -1.0}, 0.0)
-    else:
-        b.add_le({xj: 1.0 for xj in x} | {t: -1.0}, 0.0)
-    return _portfolio_result(b.build(), m, warm)
+    n_norm = m if spec.ground_norm is GroundNorm.L1 else 1
+    n_rows, n_cols = 1 + N + n_norm, m + 2 + N
+    _check_dense_size(n_rows, n_cols)
+    A = np.zeros((n_rows, n_cols))
+    A[0, :m] = 1.0
+    A[1 : N + 1, :m] = 0.0 - data
+    A[1 : N + 1, m] = -1.0
+    A[np.arange(1, N + 1), np.arange(m + 2, n_cols)] = -1.0
+    A[N + 1 :, :m] = np.eye(m) if n_norm == m else 1.0
+    A[N + 1 :, m + 1] = -1.0
+    # a column at a time: np.mean(data, axis=0) sums in another order
+    means = np.array([np.mean(data[:, j]) for j in range(m)])
+    costs = np.concatenate([0.0 - means, [spec.rho, epsilon * kappa], np.zeros(N)])
+    costs[m + 2 :] = spec.rho / (spec.alpha * N)
+    names = [f"x[{j}]" for j in range(m)] + ["tau", "t"] + [f"z[{i}]" for i in range(N)]
+    lp = LinearProgram(
+        sense="min",
+        costs=costs,
+        row_coeffs=A,
+        row_relations=(EQ,) + (LE,) * (N + n_norm),
+        row_rhs=np.concatenate([[1.0], np.zeros(n_rows - 1)]),
+        lower=np.concatenate([np.zeros(m), [-np.inf], np.zeros(1 + N)]),
+        upper=np.full(n_cols, np.inf),
+        names=tuple(names),
+    )
+    return _portfolio_result(lp, m, warm)
 
 
 def _portfolio_result(lp: LinearProgram, m: int, warm) -> PortfolioResult:

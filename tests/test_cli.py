@@ -337,12 +337,25 @@ INEXACT_NUMBERS = [
      "config.runs"),
 ]
 
+# a JSON boolean, which int() and float() would take as 0 or 1
+BOOLEAN_NUMBERS = [
+    ("calibrate", {"method": "kfold", "market": {"systematic_scale": True}},
+     "config.market.systematic_scale"),
+    ("calibrate", {"method": "kfold", "market": {}, "seed": True},
+     "config.seed"),
+    ("calibrate", {"method": "kfold", "market": {}, "folds": True},
+     "config.folds"),
+    ("experiment", {"study": "uq", "runs": True, "out_dir": "x"},
+     "config.runs"),
+]
+
 
 @pytest.mark.parametrize(
     "command, config, field",
-    MALFORMED_NUMBERS + INEXACT_NUMBERS,
+    MALFORMED_NUMBERS + INEXACT_NUMBERS + BOOLEAN_NUMBERS,
     ids=[field for _, _, field in MALFORMED_NUMBERS]
-    + [f"{field}-inexact" for _, _, field in INEXACT_NUMBERS],
+    + [f"{field}-inexact" for _, _, field in INEXACT_NUMBERS]
+    + [f"{field}-bool" for _, _, field in BOOLEAN_NUMBERS],
 )
 def test_malformed_config_number_names_the_field(
     tmp_path, capsys, monkeypatch, command, config, field

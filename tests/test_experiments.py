@@ -40,6 +40,7 @@ from wdro.experiments import (
     solve_portfolio,
 )
 from wdro.geometry import GroundNorm, Polytope
+from wdro.lp import LpBuilder
 from wdro.reformulate import DroProblem, EventIndicator, worst_case_value
 from wdro.simplex import solve_lp
 
@@ -156,6 +157,63 @@ class TestJointVersusReduced:
         spec = PortfolioSpec(m=2, support=sup)
         with pytest.raises(SampleOutsideSupport):
             build_portfolio_dro(spec, np.array([[0.5, -0.5]]), 0.1)
+
+
+def row_by_row_free_program(spec, data, epsilon):
+    """The free-support program entered one row at a time through
+    LpBuilder: the reference for the block form solve_portfolio writes."""
+    N, m = data.shape
+    kappa = float(np.max(np.abs(spec.pieces()[0])))
+    b = LpBuilder("min")
+    x = b.vars("x", m, lb=0.0)
+    tau = b.var("tau")
+    t = b.var("t", lb=0.0)
+    z = b.vars("z", N, lb=0.0)
+    obj = {t: epsilon * kappa, tau: spec.rho}
+    for j in range(m):
+        obj[x[j]] = 0.0 - float(np.mean(data[:, j]))
+    for zi in z:
+        obj[zi] = spec.rho / (spec.alpha * N)
+    b.set_objective(obj)
+    b.add_eq({xj: 1.0 for xj in x}, 1.0)
+    for i in range(N):
+        row = {z[i]: -1.0, tau: -1.0}
+        for j in range(m):
+            if data[i, j] != 0.0:
+                row[x[j]] = 0.0 - data[i, j]
+        b.add_le(row, 0.0)
+    if spec.ground_norm is GroundNorm.L1:
+        for j in range(m):
+            b.add_le({x[j]: 1.0, t: -1.0}, 0.0)
+    else:
+        b.add_le({xj: 1.0 for xj in x} | {t: -1.0}, 0.0)
+    return b.build()
+
+
+class TestFreeSupportProgram:
+    @pytest.mark.parametrize("norm_g", [GroundNorm.L1, GroundNorm.LINF])
+    @pytest.mark.parametrize("N", [1, 30, 300])
+    def test_block_form_is_bit_identical_to_row_by_row(self, monkeypatch, norm_g, N):
+        data = np.random.default_rng(N).normal(0.05, 0.2, size=(N, 4))
+        data[0, 0] = 0.0
+        data[-1, 1] = -0.0
+        spec = PortfolioSpec(m=4, rho=3.0, alpha=0.3, ground_norm=norm_g)
+        solved = []
+
+        def capture(lp, warm=None):
+            solved.append(lp)
+            return solve_lp(lp, warm=warm)
+
+        monkeypatch.setattr(experiments, "solve_lp", capture)
+        solve_portfolio(spec, data, 0.07)
+        (got,) = solved
+        want = row_by_row_free_program(spec, data, 0.07)
+        for part in ("costs", "row_coeffs", "row_rhs", "lower", "upper"):
+            assert getattr(got, part).shape == getattr(want, part).shape
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+        assert got.row_relations == want.row_relations
+        assert got.names == want.names
+        assert got.sense == want.sense
 
 
 class TestEqualWeightLimit:
