@@ -5,7 +5,8 @@ its constants are configuration, not estimated), holdout selection on a
 candidate grid, and k-fold cross validation which averages the per-fold
 holdout choices.  A variant for probability bounds picks per side the
 smallest radius whose training-data bound covers the validation-data
-frequency.
+frequency; its two bound evaluators are an input (on the free support,
+``experiments.fast_uq_bounds`` gives both in closed form).
 
 Data-driven selections always tie-break toward the smaller radius (less
 conservatism).  Validation scores within ``SCORE_TIE_RTOL * (1 + |best|)``
@@ -31,8 +32,7 @@ from .errors import (
     InvalidBeta,
     NoCoveringRadius,
 )
-from .geometry import GroundNorm, Polytope
-from .reformulate import DroProblem, EventIndicator, worst_case_value
+from .geometry import Polytope
 
 __all__ = [
     "DEFAULT_GRID",
@@ -55,6 +55,9 @@ SCORE_TIE_RTOL = 1e-9
 
 # absolute slack with which a uq bound covers a validation frequency
 DOMINANCE_TOL = 1e-12
+
+# absolute slack with which a sample counts as inside a closed region
+FREQUENCY_TOL = 1e-12
 
 
 class DecisionProblem(Protocol):
@@ -131,12 +134,29 @@ def radius_a_priori(N: int, beta: float, cfg: ConcentrationConfig) -> float:
 def _clean_grid(grid) -> tuple[float, ...]:
     if grid is None:
         return DEFAULT_GRID
-    points = sorted({float(e) for e in grid})
+    points = [float(e) for e in grid]
     if not points:
         raise GridEmpty("candidate radius grid is empty")
-    if points[0] < 0 or not np.isfinite(points[-1]):
+    if not all(np.isfinite(e) and e >= 0 for e in points):
         raise GridEmpty("candidate radii must be finite and nonnegative")
-    return tuple(points)
+    return tuple(sorted(set(points)))
+
+
+def _folds(data: np.ndarray, k: int, seed):
+    """The k contiguous blocks of a seeded shuffle, as index tuples, and
+    per block the (training, validation) samples that hold it out."""
+    if k < 2:
+        raise DimensionMismatch("cross validation needs k >= 2")
+    N = data.shape[0]
+    if N < k:
+        raise DatasetTooSmall(f"need at least k={k} samples, got {N}")
+    blocks = np.array_split(np.random.default_rng(seed).permutation(N), k)
+    pairs = []
+    for block in blocks:
+        mask = np.ones(N, dtype=bool)
+        mask[block] = False
+        pairs.append((data[mask], data[block]))
+    return tuple(tuple(int(i) for i in b) for b in blocks), pairs
 
 
 def _argmin_smallest(grid, scores) -> float:
@@ -197,20 +217,11 @@ def calibrate_kfold(
     selections and the decision is retrained on all data at that radius."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     grid = _clean_grid(grid)
-    if k < 2:
-        raise DimensionMismatch("cross validation needs k >= 2")
-    N = data.shape[0]
-    if N < k:
-        raise DatasetTooSmall(f"need at least k={k} samples, got {N}")
-    perm = np.random.default_rng(seed).permutation(N)
-    blocks = np.array_split(perm, k)
+    partition, folds = _folds(data, k, seed)
 
     fold_radii = []
     score_sums = np.zeros(len(grid))
-    for block in blocks:
-        mask = np.ones(N, dtype=bool)
-        mask[block] = False
-        train_data, val_data = data[mask], data[block]
+    for train_data, val_data in folds:
         scores = []
         for eps in grid:
             dec = problem.train(train_data, eps)
@@ -223,40 +234,26 @@ def calibrate_kfold(
         method="kfold",
         table=tuple(zip(grid, score_sums / k)),
         fold_radii=tuple(fold_radii),
-        partition=tuple(tuple(int(i) for i in b) for b in blocks),
+        partition=partition,
         decision=problem.train(data, radius),
     )
 
 
-def default_uq_bounds(
-    safe_set: Polytope,
-    support: Polytope | None = None,
-    norm: GroundNorm = GroundNorm.L1,
-):
-    """Bound evaluators backed by the worst-case probability programs.
-    The upper bound is the best-case probability of the closed region, the
-    lower bound is one minus the worst-case probability of leaving the
-    open region."""
-    sup = support if support is not None else Polytope.free(safe_set.dim)
-
-    def j_plus(samples: np.ndarray, eps: float) -> float:
-        p = DroProblem(samples, sup, eps, norm, EventIndicator(safe_set, "inside"))
-        return worst_case_value(p)
-
-    def j_minus(samples: np.ndarray, eps: float) -> float:
-        p = DroProblem(samples, sup, eps, norm, EventIndicator(safe_set, "outside"))
-        return 1.0 - worst_case_value(p)
-
-    return j_plus, j_minus
-
-
-def empirical_frequency(samples: np.ndarray, region: Polytope, tol=1e-12) -> float:
-    """Fraction of samples in the closed region {Gx <= g}."""
+def empirical_frequency(samples: np.ndarray, region: Polytope) -> float:
+    """Fraction of samples in the closed region {Gx <= g}, within
+    ``FREQUENCY_TOL``."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if region.n_rows == 0:
         return 1.0
-    inside = (samples @ region.C.T <= region.d + tol).all(axis=1)
+    inside = (samples @ region.C.T <= region.d + FREQUENCY_TOL).all(axis=1)
     return float(inside.mean())
+
+
+def _covers(side: str, value: float, freq: float) -> bool:
+    """Whether a bound on ``side`` covers a validation frequency."""
+    if side == "upper":
+        return value >= freq - DOMINANCE_TOL
+    return value <= freq + DOMINANCE_TOL
 
 
 def calibrate_uq_kfold(
@@ -266,80 +263,57 @@ def calibrate_uq_kfold(
     k: int = 5,
     seed: int = 0,
     *,
-    support: Polytope | None = None,
-    norm: GroundNorm = GroundNorm.L1,
-    side: str = "both",
-    bound_fns=None,
+    bound_fns,
 ) -> CalibrationResult:
     """Probability-bracket calibration.
 
+    ``bound_fns`` is the pair of evaluators (samples, eps) -> value for
+    the upper bound (best-case probability of the closed region) and the
+    lower bound (one minus the worst-case probability of leaving it).
     Per fold and per side, the selected radius is the smallest grid point
     whose training-data bound covers the validation frequency of the
     region: upper bound >= frequency, lower bound <= frequency (within
     ``DOMINANCE_TOL``).  Fold radii are averaged per side and the
-    full-data bounds are evaluated at the averaged radii.
-
-    ``bound_fns`` may inject faster evaluators (samples, eps) -> value
-    for the two sides; by default the generic programs are used.  A
-    region containing the whole support makes the lower-bound program's
-    hypothesis fail, which is why ``side="upper"`` exists.
+    full-data bounds are evaluated at the averaged radii.  ``bounds``
+    holds the upper side, then the lower; ``radius`` and ``fold_radii``
+    are the upper side's.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     grid = _clean_grid(grid)
-    if side not in ("upper", "lower", "both"):
-        raise DimensionMismatch(f"unknown side {side!r}")
-    if k < 2:
-        raise DimensionMismatch("cross validation needs k >= 2")
-    N = data.shape[0]
-    if N < k:
-        raise DatasetTooSmall(f"need at least k={k} samples, got {N}")
-    if bound_fns is None:
-        bound_fns = default_uq_bounds(safe_set, support, norm)
+    partition, folds = _folds(data, k, seed)
     j_plus, j_minus = bound_fns
-    sides = ("upper", "lower") if side == "both" else (side,)
+    sides = (("upper", j_plus), ("lower", j_minus))
 
-    perm = np.random.default_rng(seed).permutation(N)
-    blocks = np.array_split(perm, k)
-
-    fold_radii = {s: [] for s in sides}
-    for f, block in enumerate(blocks):
-        mask = np.ones(N, dtype=bool)
-        mask[block] = False
-        train_data, val_data = data[mask], data[block]
+    fold_radii = {"upper": [], "lower": []}
+    for f, (train_data, val_data) in enumerate(folds):
         freq = empirical_frequency(val_data, safe_set)
-        for s in sides:
-            chosen = None
-            for eps in grid:
-                if s == "upper":
-                    covered = j_plus(train_data, eps) >= freq - DOMINANCE_TOL
-                else:
-                    covered = j_minus(train_data, eps) <= freq + DOMINANCE_TOL
-                if covered:
-                    chosen = eps
-                    break
+        for side, bound in sides:
+            covering = (
+                eps for eps in grid if _covers(side, bound(train_data, eps), freq)
+            )
+            chosen = next(covering, None)
             if chosen is None:
                 raise NoCoveringRadius(
-                    f"no candidate radius covers fold {f} on the {s} side; "
+                    f"no candidate radius covers fold {f} on the {side} side; "
                     "extend the grid upward"
                 )
-            fold_radii[s].append(chosen)
+            fold_radii[side].append(chosen)
 
     bounds = []
-    for s in sides:
-        radius = float(np.mean(fold_radii[s]))
-        value = j_plus(data, radius) if s == "upper" else j_minus(data, radius)
+    for side, bound in sides:
+        radius = float(np.mean(fold_radii[side]))
         bounds.append(
             UqBound(
-                side=s,
+                side=side,
                 radius=radius,
-                value=float(value),
-                fold_radii=tuple(fold_radii[s]),
+                value=float(bound(data, radius)),
+                fold_radii=tuple(fold_radii[side]),
             )
         )
     return CalibrationResult(
         radius=bounds[0].radius,
         method="uq-kfold",
         fold_radii=bounds[0].fold_radii,
-        partition=tuple(tuple(int(i) for i in b) for b in blocks),
+        partition=partition,
         bounds=tuple(bounds),
     )

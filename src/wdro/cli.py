@@ -38,6 +38,7 @@ from .experiments import (
     PortfolioSpec,
     PortfolioStudyConfig,
     UqStudyConfig,
+    fast_uq_bounds,
     run_portfolio_study,
     run_uq_study,
 )
@@ -366,12 +367,15 @@ def cmd_worstcase(args) -> int:
 
 def _parse_grid_flag(text: str):
     try:
-        return tuple(float(v) for v in text.split(","))
+        grid = tuple(float(v) for v in text.split(","))
+        if all(math.isfinite(v) for v in grid):
+            return grid
     except ValueError:
-        raise SpecFileError(
-            f"--grid expects comma-separated numbers, got {text!r}",
-            field="--grid",
-        ) from None
+        pass
+    raise SpecFileError(
+        f"--grid expects comma-separated finite numbers, got {text!r}",
+        field="--grid",
+    )
 
 
 def cmd_calibrate(args) -> int:
@@ -422,7 +426,10 @@ def cmd_calibrate(args) -> int:
         region = _parse_polytope(
             doc["region"], data.shape[1], "config.region"
         )
-        cal = calibrate_uq_kfold(data, region, grid, k=folds, seed=seed)
+        cal = calibrate_uq_kfold(
+            data, region, grid, k=folds, seed=seed,
+            bound_fns=fast_uq_bounds(region),
+        )
         result["bounds"] = [
             {
                 "side": b.side,

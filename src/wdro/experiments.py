@@ -464,6 +464,8 @@ def fast_uq_bounds(region: Polytope, norm: GroundNorm = GroundNorm.L1):
         return breakpoint_min(float(eps), region_distances(X))
 
     def j_minus(samples, eps) -> float:
+        if region.is_free:
+            return 1.0  # the complement is empty
         X = np.atleast_2d(np.asarray(samples, dtype=float))
         return 1.0 - breakpoint_min(float(eps), complement_distances(X))
 
@@ -742,8 +744,7 @@ def run_uq_study(config: UqStudyConfig) -> StudyReport:
                 seed=uq_seq,
                 bound_fns=bounds,
             )
-            by_side = {bd.side: bd for bd in cal.bounds}
-            lo_b, hi_b = by_side["lower"], by_side["upper"]
+            hi_b, lo_b = cal.bounds
             cal_rows.append(
                 (
                     r, N,

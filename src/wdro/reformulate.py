@@ -73,6 +73,9 @@ __all__ = [
     "worst_case_value",
 ]
 
+# largest support violation of a sample that is projected back, not refused
+MEMBERSHIP_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PiecewiseAffineLoss:
@@ -234,7 +237,7 @@ Loss = PiecewiseAffineLoss | EventIndicator | TwoStageLoss | SeparableLoss
 class DroProblem:
     """Samples, support, ball radius and ground norm plus a loss.
 
-    Samples violating the support by at most ``membership_tol`` are
+    Samples violating the support by at most ``MEMBERSHIP_TOL`` are
     projected onto it (with a warning); larger violations raise
     SampleOutsideSupport.  For separable losses the support is the product
     of the per-stage supports and ``support`` must be the free space.
@@ -245,7 +248,6 @@ class DroProblem:
     radius: float
     norm: GroundNorm
     loss: Loss
-    membership_tol: float = 1e-6
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.samples, dtype=float))
@@ -280,10 +282,10 @@ class DroProblem:
         worst = float(viol.max())
         if worst <= 1e-12:
             return X
-        if worst > self.membership_tol:
+        if worst > MEMBERSHIP_TOL:
             raise SampleOutsideSupport(
                 f"sample violates the support by {worst:.3e}, "
-                f"tolerance is {self.membership_tol:.3e}"
+                f"tolerance is {MEMBERSHIP_TOL:.3e}"
             )
         if not support.nonempty():
             raise EmptySupport("support polytope is empty")
@@ -563,7 +565,6 @@ def build_two_stage(p: DroProblem) -> LinearProgram:
             radius=p.radius,
             norm=p.norm,
             loss=pieces,
-            membership_tol=p.membership_tol,
         )
         return build_max_affine(flat)
 

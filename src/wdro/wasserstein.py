@@ -25,6 +25,9 @@ __all__ = [
 
 _MAX_ATOMS = 200
 
+# max-norm distance within which two atoms are one
+MERGE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -72,14 +75,14 @@ class DiscreteDistribution:
         return self.weights @ self.points
 
 
-def merge_atoms(dist: DiscreteDistribution, tol: float = 1e-12) -> DiscreteDistribution:
-    """Collapse atoms whose coordinates agree within ``tol`` (max-norm),
-    summing their weights.  Keeps first-seen order."""
+def merge_atoms(dist: DiscreteDistribution) -> DiscreteDistribution:
+    """Collapse atoms whose coordinates agree within ``MERGE_TOL``
+    (max-norm), summing their weights.  Keeps first-seen order."""
     kept_pts: list[np.ndarray] = []
     kept_w: list[float] = []
     for p, w in zip(dist.points, dist.weights):
         for k, q in enumerate(kept_pts):
-            if np.max(np.abs(p - q)) <= tol:
+            if np.max(np.abs(p - q)) <= MERGE_TOL:
                 kept_w[k] += w
                 break
         else:

@@ -20,10 +20,13 @@ from wdro.errors import (
     DatasetTooSmall,
     DimensionMismatch,
     GridEmpty,
+    HypothesisViolated,
     InvalidBeta,
     NoCoveringRadius,
 )
-from wdro.geometry import Polytope
+from wdro.experiments import fast_uq_bounds
+from wdro.geometry import GroundNorm, Polytope
+from wdro.reformulate import DroProblem, EventIndicator, worst_case_value
 
 
 class TestAPrioriRadius:
@@ -221,45 +224,99 @@ class TestKFold:
             calibrate_kfold(self.DATA[:3], RadiusSeeking(0.1), grid=[0.1], k=5)
 
 
-class TestUqKFold:
-    def test_region_containing_everything_selects_smallest_radius(self):
-        data = np.linspace(-1, 1, 8).reshape(-1, 1)
-        whole = Polytope([[0.0]], [1.0], 1)  # 0*x <= 1 always holds
-        res = calibrate_uq_kfold(
-            data, whole, grid=[0.05, 0.2], k=2, side="upper"
+class TestNonFiniteGrid:
+    """A non-finite point anywhere in the grid is refused; a NaN must not
+    be sorted into the middle, where a test of the last point misses it."""
+
+    DATA = np.linspace(-1.0, 1.0, 12).reshape(-1, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_every_calibrator_refuses_it(self, bad, where):
+        grid = [0.1, 0.3]
+        grid.insert(where, bad)
+        with pytest.raises(GridEmpty):
+            calibrate_holdout(self.DATA, RadiusSeeking(0.1), grid=grid)
+        with pytest.raises(GridEmpty):
+            calibrate_kfold(self.DATA, RadiusSeeking(0.1), grid=grid, k=2)
+        region = Polytope([[1.0]], [0.0], 1)
+        with pytest.raises(GridEmpty):
+            calibrate_uq_kfold(
+                self.DATA, region, grid=grid, k=2,
+                bound_fns=fast_uq_bounds(region),
+            )
+
+
+class TestFolds:
+    def test_both_kfold_calibrators_share_the_partition(self):
+        data = np.random.default_rng(4).normal(size=(11, 1))
+        region = Polytope([[1.0]], [0.0], 1)
+        plain = calibrate_kfold(data, RadiusSeeking(0.1), grid=[0.1], k=3, seed=8)
+        bracket = calibrate_uq_kfold(
+            data, region, grid=[0.1, 5.0], k=3, seed=8,
+            bound_fns=fast_uq_bounds(region),
         )
-        (upper,) = res.bounds
-        assert upper.fold_radii == (0.05, 0.05)
-        assert upper.radius == 0.05
-        assert upper.value == pytest.approx(1.0, abs=1e-9)
+        assert plain.partition == bracket.partition
+        blocks = np.array_split(np.random.default_rng(8).permutation(11), 3)
+        assert plain.partition == tuple(tuple(b.tolist()) for b in blocks)
+
+    def test_uq_kfold_errors(self):
+        region = Polytope([[1.0]], [0.0], 1)
+        bounds = fast_uq_bounds(region)
+        with pytest.raises(DimensionMismatch):
+            calibrate_uq_kfold(np.zeros((4, 1)), region, k=1, bound_fns=bounds)
+        with pytest.raises(DatasetTooSmall):
+            calibrate_uq_kfold(np.zeros((4, 1)), region, k=5, bound_fns=bounds)
+
+
+class TestUqKFold:
+    def test_region_containing_everything_has_no_lower_bound(self):
+        # 0*x <= 1 always holds: its complement is empty and unreachable,
+        # so the lower-bound program's hypothesis fails
+        data = np.linspace(-1, 1, 8).reshape(-1, 1)
+        whole = Polytope([[0.0]], [1.0], 1)
+        with pytest.raises(HypothesisViolated):
+            calibrate_uq_kfold(
+                data, whole, grid=[0.05, 0.2], k=2, bound_fns=fast_uq_bounds(whole)
+            )
 
     def test_bracket_orders_correctly(self):
         rng = np.random.default_rng(13)
         data = rng.normal(size=(10, 1))
         region = Polytope([[1.0]], [0.4], 1)  # {x <= 0.4}
-        res = calibrate_uq_kfold(data, region, grid=[0.0, 0.1, 0.3, 1.0], k=2, seed=1)
-        by_side = {b.side: b for b in res.bounds}
-        assert set(by_side) == {"upper", "lower"}
-        assert by_side["lower"].value <= by_side["upper"].value + 1e-9
-        assert res.radius == by_side["upper"].radius
+        res = calibrate_uq_kfold(
+            data, region, grid=[0.0, 0.1, 0.3, 1.0], k=2, seed=1,
+            bound_fns=fast_uq_bounds(region),
+        )
+        upper, lower = res.bounds
+        assert (upper.side, lower.side) == ("upper", "lower")
+        assert lower.value <= upper.value + 1e-9
+        assert res.radius == upper.radius
         freq = empirical_frequency(data, region)
-        assert by_side["lower"].value <= freq + 0.5
-        assert by_side["upper"].value >= freq - 0.5
+        assert lower.value <= freq + 0.5
+        assert upper.value >= freq - 0.5
 
     def test_zero_radius_brackets_collapse_to_frequency(self):
         data = np.array([[-1.0], [0.0], [1.0], [2.0]])
         region = Polytope([[1.0]], [0.5], 1)
-        from wdro.calibrate import default_uq_bounds
-
-        j_plus, j_minus = default_uq_bounds(region)
-        assert j_plus(data, 0.0) == pytest.approx(0.5, abs=1e-9)
-        assert j_minus(data, 0.0) == pytest.approx(0.5, abs=1e-9)
+        free = Polytope.free(1)
+        best = DroProblem(
+            data, free, 0.0, GroundNorm.L1, EventIndicator(region, "inside")
+        )
+        worst = DroProblem(
+            data, free, 0.0, GroundNorm.L1, EventIndicator(region, "outside")
+        )
+        assert worst_case_value(best) == pytest.approx(0.5, abs=1e-9)
+        assert 1.0 - worst_case_value(worst) == pytest.approx(0.5, abs=1e-9)
 
     def test_no_covering_radius(self):
         data = np.array([[0.0], [0.0], [1.0]])
         region = Polytope([[1.0]], [0.5], 1)
         with pytest.raises(NoCoveringRadius):
-            calibrate_uq_kfold(data, region, grid=[0.0], k=2, side="upper", seed=0)
+            calibrate_uq_kfold(
+                data, region, grid=[0.0], k=2, seed=0,
+                bound_fns=fast_uq_bounds(region),
+            )
 
     def test_injected_bound_functions_are_used(self):
         calls = []
@@ -279,12 +336,6 @@ class TestUqKFold:
         )
         assert calls  # evaluators were exercised
         assert {b.side for b in res.bounds} == {"upper", "lower"}
-
-    def test_bad_side(self):
-        with pytest.raises(DimensionMismatch):
-            calibrate_uq_kfold(
-                np.zeros((4, 1)), Polytope.free(1), grid=[0.1], side="middle"
-            )
 
 
 class TestEmpiricalFrequency:

@@ -292,6 +292,67 @@ class TestCalibrate:
         sides = {b["side"] for b in out["bounds"]}
         assert sides == {"upper", "lower"}
 
+    def test_uq_kfold_builds_no_probability_program(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from wdro import reformulate
+
+        calls = []
+        for name, key in (("build_uq_best", ("event", "inside")),
+                          ("build_uq_worst", ("event", "outside"))):
+            def counting(p, _build=getattr(reformulate, name), _name=name):
+                calls.append(_name)
+                return _build(p)
+
+            monkeypatch.setattr(reformulate, name, counting)
+            monkeypatch.setitem(reformulate._BUILDERS, key, counting)
+        config = {
+            "method": "uq_kfold",
+            "samples": [[-1.0, 0.2], [-0.5, 0.1], [0.2, -0.3], [1.0, 0.0],
+                        [-0.3, 0.4], [0.4, 0.9]],
+            "region": {"C": [[1.0, -1.0], [0.0, 1.0]], "d": [0.0, 0.5]},
+            "grid": [0.01, 0.1, 1.0, 10.0],
+            "folds": 3,
+        }
+        code = main(["calibrate", "--spec", write_spec(tmp_path, config)])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["bounds"]) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "region, code",
+        [
+            ("free", 0),  # certain event: both bounds are 1
+            ({"C": [[0.0], [1.0]], "d": [1.0, 0.0]}, 0),  # 0*x <= 1 is moot
+            ({"C": [[0.0]], "d": [1.0]}, 2),  # the complement is unreachable
+        ],
+    )
+    def test_uq_kfold_regions_without_a_reachable_boundary(
+        self, tmp_path, capsys, region, code
+    ):
+        config = {
+            "method": "uq_kfold",
+            "samples": [[-1.0], [-0.5], [0.2], [1.0], [-0.3], [0.4]],
+            "region": region,
+            "grid": [0.001, 0.1, 0.5, 2.0],
+            "folds": 2,
+        }
+        assert main(["calibrate", "--spec", write_spec(tmp_path, config)]) == code
+        if region == "free":
+            out = json.loads(capsys.readouterr().out)
+            values = [b["value"] for b in out["bounds"]]
+            assert values == pytest.approx([1.0, 1.0], abs=1e-12)
+            assert [b["fold_radii"] for b in out["bounds"]] == [[0.001] * 2] * 2
+
+    @pytest.mark.parametrize("grid", ["0.1,nan,0.3", "inf", "0.1,,0.3"])
+    def test_non_finite_grid_flag_names_the_field(self, tmp_path, capsys, grid):
+        config = {"method": "kfold", "market": {"m": 2}, "n_samples": 6}
+        code = main(
+            ["calibrate", "--spec", write_spec(tmp_path, config), "--grid", grid]
+        )
+        assert code == 1
+        assert "(field: --grid)" in capsys.readouterr().err
+
     def test_missing_dataset_path_names_the_field(self, tmp_path, capsys):
         config = {
             "method": "kfold",

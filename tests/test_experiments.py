@@ -417,8 +417,8 @@ class TestFastUqBounds:
 
     def test_agrees_with_generic_programs(self):
         rng = np.random.default_rng(9)
-        checked = 0
-        while checked < 10:
+        cases = []
+        while len(cases) < 10:
             m = int(rng.integers(1, 3))
             K = int(rng.integers(1, 3))
             region = Polytope(rng.normal(size=(K, m)), rng.normal(size=K), m)
@@ -426,8 +426,12 @@ class TestFastUqBounds:
                 continue
             X = rng.normal(size=(int(rng.integers(2, 6)), m))
             norm_g = GroundNorm.L1 if rng.random() < 0.5 else GroundNorm.LINF
+            cases.append((region, X, norm_g))
+        # the free region: certain event, empty complement
+        cases.append((Polytope.free(2), rng.normal(size=(3, 2)), GroundNorm.L1))
+        for region, X, norm_g in cases:
             j_plus, j_minus = fast_uq_bounds(region, norm_g)
-            free = Polytope.free(m)
+            free = Polytope.free(region.dim)
             for eps in (0.0, 0.1, 0.6):
                 p_best = DroProblem(
                     X, free, eps, norm_g, EventIndicator(region, "inside")
@@ -441,7 +445,6 @@ class TestFastUqBounds:
                 assert j_minus(X, eps) == pytest.approx(
                     1.0 - worst_case_value(p_worst), abs=1e-8
                 )
-            checked += 1
 
     def test_zero_radius_reduces_to_frequencies(self):
         # the boundary sample 0 counts for the closed region (upper) and
