@@ -368,12 +368,12 @@ def cmd_worstcase(args) -> int:
 def _parse_grid_flag(text: str):
     try:
         grid = tuple(float(v) for v in text.split(","))
-        if all(math.isfinite(v) for v in grid):
+        if all(math.isfinite(v) and v >= 0 for v in grid):
             return grid
     except ValueError:
         pass
     raise SpecFileError(
-        f"--grid expects comma-separated finite numbers, got {text!r}",
+        f"--grid expects comma-separated finite nonnegative numbers, got {text!r}",
         field="--grid",
     )
 
@@ -400,6 +400,8 @@ def cmd_calibrate(args) -> int:
         grid = _parse_grid_flag(args.grid)
     elif "grid" in doc:
         grid = tuple(_matrix(doc["grid"], "config.grid").reshape(-1))
+        if any(v < 0 for v in grid):
+            raise SpecFileError("config.grid must be nonnegative", field="config.grid")
     else:
         grid = None
     folds = args.folds if args.folds is not None else _number(

@@ -21,11 +21,13 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import qr
 from scipy.special import ndtr, owens_t
 from scipy.stats import norm as _normal
 
@@ -188,17 +190,34 @@ def build_portfolio_dro(
     return a.build()
 
 
+def _free_shared_columns(spec, data) -> np.ndarray:
+    """Columns x, tau and t of the free-support program, every row.
+
+    The program's layout: columns x (m, >= 0), tau (free), t (>= 0, the
+    dual norm of x), then one hinge z_i (>= 0) per sample; rows sum(x) = 1,
+    then -xi_i.x - tau - z_i <= 0 per sample, then the dual-norm epigraph
+    (x >= 0 keeps it one-sided), x_j - t <= 0 per asset for the L1 ground
+    norm or sum(x) - t <= 0 for Linf.  So sample i owns row 1 + i, column
+    m + 2 + i and, in the engine's numbering, that row's slack; only the
+    columns here and the first and norm rows are shared.  ``0.0 - data``,
+    not ``-data``, keeps a zero sample at +0.0."""
+    N, m = data.shape
+    n_norm = m if spec.ground_norm is GroundNorm.L1 else 1
+    H = np.zeros((1 + N + n_norm, m + 2))
+    H[0, :m] = 1.0
+    H[1 : N + 1, :m] = 0.0 - data
+    H[1 : N + 1, m] = -1.0
+    H[N + 1 :, :m] = np.eye(m) if n_norm == m else 1.0
+    H[N + 1 :, m + 1] = -1.0
+    return H
+
+
 def _solve_portfolio_free(spec, data, epsilon, warm=None):
     """Free-support shortcut: the optimal multiplier is known to be
     max_k |a_k| times the dual norm of x, so the program shrinks to the
     sample mean-CVaR plus a norm-of-weights penalty.  Equivalent to the
-    joint program (tested); roughly halves the row count.
-
-    Columns: x (m, >= 0), tau (free), t (>= 0, the dual norm of x) and the
-    hinges z (N, >= 0).  Rows: sum(x) = 1; -xi_i.x - tau - z_i <= 0 per
-    sample; then the dual-norm epigraph (x >= 0 keeps it one-sided),
-    x_j - t <= 0 per asset for the L1 ground norm or sum(x) - t <= 0 for
-    Linf.  ``0.0 - data``, not ``-data``, keeps a zero sample at +0.0."""
+    joint program (tested); roughly halves the row count.  The layout is
+    in :func:`_free_shared_columns`."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     N, m = data.shape
     a_coef, _ = spec.pieces()
@@ -207,12 +226,8 @@ def _solve_portfolio_free(spec, data, epsilon, warm=None):
     n_rows, n_cols = 1 + N + n_norm, m + 2 + N
     _check_dense_size(n_rows, n_cols)
     A = np.zeros((n_rows, n_cols))
-    A[0, :m] = 1.0
-    A[1 : N + 1, :m] = 0.0 - data
-    A[1 : N + 1, m] = -1.0
+    A[:, : m + 2] = _free_shared_columns(spec, data)
     A[np.arange(1, N + 1), np.arange(m + 2, n_cols)] = -1.0
-    A[N + 1 :, :m] = np.eye(m) if n_norm == m else 1.0
-    A[N + 1 :, m + 1] = -1.0
     # a column at a time: np.mean(data, axis=0) sums in another order
     means = np.array([np.mean(data[:, j]) for j in range(m)])
     costs = np.concatenate([0.0 - means, [spec.rho, epsilon * kappa], np.zeros(N)])
@@ -229,6 +244,67 @@ def _solve_portfolio_free(spec, data, epsilon, warm=None):
         names=tuple(names),
     )
     return _portfolio_result(lp, m, warm)
+
+
+def _map_free_basis(spec, old_samples, old: PortfolioResult, samples):
+    """Carry ``old``, an optimal result on the free-support program of
+    ``old_samples``, over to the program of ``samples`` as a ``warm`` basis.
+
+    Each new sample takes the first unused old sample with the same bytes,
+    so a permuted or duplicated sample maps too.  A kept sample keeps the
+    status of its hinge column and its row's slack; a dropped one takes
+    both away; an added one gets its hinge basic if the old (x, tau)
+    violates its row and its slack basic otherwise.  The shared columns
+    keep their status, except that a dropped sample whose row neither its
+    hinge nor its slack covered leaves one basic column too many.  Then
+    pivoted QR on A[R, J] (R the rows no basic slack or hinge covers, J
+    the basic shared columns) keeps |R| independent columns of J and makes
+    the others nonbasic at their bound."""
+    basis, at_upper = old.basis
+    N_old, m = old_samples.shape
+    N = samples.shape[0]
+    head = m + 2
+    n_old, n = head + N_old, head + N
+    queues: dict[bytes, deque] = {}
+    for p, row in enumerate(old_samples):
+        queues.setdefault(row.tobytes(), deque()).append(p)
+    src = np.array(
+        [q.popleft() if (q := queues.get(row.tobytes())) else -1 for row in samples],
+        dtype=np.int64,
+    )
+    n_norm = basis.size - 1 - N_old
+    # the old engine column behind each new one, -1 for an added sample's
+    cols = np.concatenate([
+        np.arange(head),
+        np.where(src >= 0, head + src, -1),
+        [n_old],
+        np.where(src >= 0, n_old + 1 + src, -1),
+        n_old + 1 + N_old + np.arange(n_norm),
+    ])
+    kept = cols >= 0
+    old_basic = np.zeros(at_upper.size, dtype=bool)
+    old_basic[basis] = True
+    is_basic = np.zeros(cols.size, dtype=bool)
+    is_basic[kept] = old_basic[cols[kept]]
+    upper = np.zeros(cols.size, dtype=bool)
+    upper[kept] = at_upper[cols[kept]]
+
+    added = np.flatnonzero(src < 0)
+    hinge = (0.0 - samples[added]) @ old.weights - old.tau > 0.0
+    is_basic[head + added[hinge]] = True
+    is_basic[n + 1 + added[~hinge]] = True
+
+    covered = is_basic[n:].copy()
+    covered[1 : N + 1] |= is_basic[head:n]
+    R = np.flatnonzero(~covered)
+    J = np.flatnonzero(is_basic[:head])
+    if J.size > R.size:
+        drop = J
+        if R.size:
+            block = _free_shared_columns(spec, samples)[np.ix_(R, J)]
+            drop = J[qr(block, mode="r", pivoting=True)[1][R.size :]]
+        is_basic[drop] = False
+    return np.flatnonzero(is_basic), upper
 
 
 def _portfolio_result(lp: LinearProgram, m: int, warm) -> PortfolioResult:
@@ -250,7 +326,9 @@ def solve_portfolio(
     """Optimal weights, CVaR threshold and certificate at one radius.
 
     ``warm`` is the ``basis`` of an earlier result on the same spec and
-    data; the solve starts from it (see :func:`wdro.simplex.solve_lp`)."""
+    data, or one mapped onto this data's program (as
+    :class:`PortfolioDecisionProblem` does on the free support); the
+    solve starts from it (see :func:`wdro.simplex.solve_lp`)."""
     if spec.resolved_support().is_free:
         return _solve_portfolio_free(spec, data, epsilon, warm)
     return _portfolio_result(build_portfolio_dro(spec, data, epsilon), spec.m, warm)
@@ -301,23 +379,36 @@ class PortfolioDecisionProblem:
     """Calibration adapter: train at a radius, score by the validation
     sample mean-CVaR.
 
-    The adapter remembers its last training samples and result.  Training
-    again on equal samples, as a radius sweep does, warm-starts the solve
-    from the last optimal basis; only the radius cost differs, so the
-    answer is the same to solver tolerance.  The memory lives on the
+    Every solve after the first starts warm, from the result last solved
+    at the nearest radius on the last training samples.  On equal
+    samples, as in a radius sweep, its basis is passed unchanged: only
+    the radius cost differs.  On the free support, other samples (a fold,
+    a holdout split, the full-data refit, the next run) get that basis
+    mapped onto their program by :func:`_map_free_basis`; the joint
+    program of a polytope support starts cold on them.  A start never
+    changes the answer beyond solver tolerance.  The memory lives on the
     instance, so separate instances never share a starting point."""
 
     def __init__(self, spec: PortfolioSpec):
         self.spec = spec
-        self._last: tuple[np.ndarray, PortfolioResult] | None = None
+        self._samples: np.ndarray | None = None
+        self._by_radius: dict[float, PortfolioResult] = {}
 
     def train(self, samples, epsilon) -> PortfolioResult:
-        samples = np.array(samples, dtype=float)
+        samples = np.atleast_2d(np.array(samples, dtype=float))
+        epsilon = float(epsilon)
+        same = self._samples is not None and np.array_equal(self._samples, samples)
         warm = None
-        if self._last is not None and np.array_equal(self._last[0], samples):
-            warm = self._last[1].basis
-        result = solve_portfolio(self.spec, samples, float(epsilon), warm)
-        self._last = (samples, result)
+        if self._by_radius:
+            near = self._by_radius[min(self._by_radius, key=lambda e: abs(e - epsilon))]
+            if same:
+                warm = near.basis
+            elif self.spec.resolved_support().is_free:
+                warm = _map_free_basis(self.spec, self._samples, near, samples)
+        result = solve_portfolio(self.spec, samples, epsilon, warm)
+        if not same:
+            self._samples, self._by_radius = samples, {}
+        self._by_radius[epsilon] = result
         return result
 
     def score(self, decision: PortfolioResult, samples) -> float:

@@ -49,11 +49,17 @@ failure raises ``NumericalBreakdown``.
 Warm starts.  An optimal solution carries its basis: the basic column of
 each row and the bound side of every nonbasic column.  Passed back as
 ``warm``, it is the basis the solve starts from in place of the slack
-basis.  Radius sweeps gain most: the radius enters a reformulation only as
-one cost coefficient, so the previous optimal basis stays primal feasible
-and phase two starts next to the new optimum.  A basis that does not fit
-(wrong length, a column out of range, singular, or with a positive
-phase-one optimum) is dropped and the solve starts from the slack basis.
+basis.  It may be the basis of the same program, or one a caller has
+mapped from another program onto this one's columns: a radius sweep
+passes it unchanged (the radius enters a reformulation only as one cost
+coefficient, so the basis stays primal feasible and phase two starts
+next to the new optimum), and the portfolio adapter maps it across
+sample sets, keeping each kept sample's columns and covering an added
+sample's row by its hinge or its slack.  The engine does not care where
+a basis came from: the start repairs an infeasible point by phase one,
+and a basis that does not fit (wrong length, a column out of range,
+singular, or with a positive phase-one optimum) is dropped and the solve
+starts from the slack basis.
 """
 
 from __future__ import annotations
@@ -446,10 +452,11 @@ def solve_lp(
     Farkas-style certificate, or a feasible point plus an improving ray
     when the program is unbounded.
 
-    ``warm`` is the ``basis`` of an earlier optimal solution, typically of
-    the same constraints under other costs.  The solve then starts from it
-    rather than from the slack basis; a basis that does not fit this
-    program is ignored.  Either way the answer passes the same final check.
+    ``warm`` is the ``basis`` of an earlier optimal solution, of the same
+    constraints under other costs or mapped onto this program's columns
+    from a related one.  The solve then starts from it rather than from
+    the slack basis; a basis that does not fit this program is ignored.
+    Either way the answer passes the same final check.
     """
     cfg = config or SolverConfig()
     eng = _Engine(lp, cfg)

@@ -353,6 +353,22 @@ class TestCalibrate:
         assert code == 1
         assert "(field: --grid)" in capsys.readouterr().err
 
+    def test_negative_grid_flag_names_the_field(self, tmp_path, capsys):
+        config = {"method": "kfold", "market": {"m": 2}, "n_samples": 6}
+        code = main(
+            ["calibrate", "--spec", write_spec(tmp_path, config),
+             "--grid=0.1,-0.2"]
+        )
+        assert code == 1
+        assert "(field: --grid)" in capsys.readouterr().err
+
+    def test_negative_config_grid_names_the_field(self, tmp_path, capsys):
+        config = {"method": "kfold", "market": {"m": 2}, "n_samples": 6,
+                  "grid": [0.1, -0.2]}
+        code = main(["calibrate", "--spec", write_spec(tmp_path, config)])
+        assert code == 1
+        assert "(field: config.grid)" in capsys.readouterr().err
+
     def test_missing_dataset_path_names_the_field(self, tmp_path, capsys):
         config = {
             "method": "kfold",

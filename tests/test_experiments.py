@@ -15,6 +15,7 @@ from scipy.optimize import linprog
 from scipy.stats import multivariate_normal, norm
 
 import wdro.experiments as experiments
+import wdro.simplex as simplex
 from wdro.calibrate import calibrate_kfold
 from wdro.errors import (
     DimensionMismatch,
@@ -40,7 +41,7 @@ from wdro.experiments import (
     solve_portfolio,
 )
 from wdro.geometry import GroundNorm, Polytope
-from wdro.lp import LpBuilder
+from wdro.lp import LpBuilder, SolverConfig
 from wdro.reformulate import DroProblem, EventIndicator, worst_case_value
 from wdro.simplex import solve_lp
 
@@ -536,7 +537,10 @@ class TestDecisionAdapter:
         assert warm.fold_radii == cold.fold_radii
         assert warm.radius == cold.radius
 
-    def test_train_warm_starts_only_on_equal_samples(self, monkeypatch):
+    @pytest.mark.parametrize("boxed", [False, True], ids=["free", "polytope"])
+    def test_train_warm_starts_on_other_samples_only_on_free_support(
+        self, monkeypatch, boxed
+    ):
         seen = []
 
         def recording(spec, data, epsilon, warm=None):
@@ -544,11 +548,84 @@ class TestDecisionAdapter:
             return solve_portfolio(spec, data, epsilon, warm)
 
         monkeypatch.setattr(experiments, "solve_portfolio", recording)
-        problem = PortfolioDecisionProblem(PortfolioSpec(m=3))
-        data = MarketModel(m=3).sample(12, np.random.default_rng(13))
-        for samples, eps in ((data, 0.1), (data.copy(), 0.2), (data[:-1], 0.2), (data, 0.2)):
+        support = Polytope.box(-np.ones(3), np.ones(3)) if boxed else None
+        problem = PortfolioDecisionProblem(PortfolioSpec(m=3, support=support))
+        data = MarketModel(m=3).sample(16, np.random.default_rng(13))
+        superset = np.vstack([data, MarketModel(m=3).sample(4, np.random.default_rng(14))])
+        for samples, eps in (
+            (data, 0.1),
+            (data.copy(), 0.2),  # equal
+            (data[:-3], 0.2),  # subset
+            (data[::-1], 0.05),  # permuted
+            (superset, 0.3),  # superset
+            (superset.copy(), 0.1),  # equal
+        ):
             problem.train(samples, eps)
-        assert seen == [False, True, False, False]
+        other = not boxed
+        assert seen == [False, True, other, other, other, True]
+
+
+class TestMappedWarmStarts:
+    """A basis mapped onto other samples starts the solve (no fallback to
+    the slack basis) and ends at the cold solve's answer."""
+
+    GRID = (0.001, 0.01, 0.1, 1.0)
+
+    @staticmethod
+    def _count_starts(monkeypatch):
+        starts, start_warm = [], simplex._start_warm
+
+        def recording(eng, warm):
+            starts.append(start_warm(eng, warm))
+            return starts[-1]
+
+        monkeypatch.setattr(simplex, "_start_warm", recording)
+        return starts
+
+    @pytest.mark.parametrize("norm_g", [GroundNorm.L1, GroundNorm.LINF])
+    def test_mapped_starts_match_cold_solves(self, monkeypatch, norm_g):
+        spec = PortfolioSpec(ground_norm=norm_g)
+        market = MarketModel()
+        data = market.sample(40, np.random.default_rng(21))
+        perm = np.random.default_rng(22).permutation(40)
+        sets = [np.delete(data, block, axis=0) for block in np.array_split(perm, 5)]
+        sets.append(data[perm[:32]])  # a permuted holdout split
+        sets.append(np.vstack([data, data[[3, 3, 17]]]))  # duplicated samples
+        sets.append(np.vstack([data, market.sample(10, np.random.default_rng(23))]))
+
+        starts = self._count_starts(monkeypatch)
+        problem = PortfolioDecisionProblem(spec)
+        gap_tol = SolverConfig().gap_tol
+        trains = 0
+        for samples in sets:
+            for eps in self.GRID:
+                got = problem.train(samples, eps)
+                trains += 1
+                cold = solve_portfolio(spec, samples, eps)
+                assert abs(got.certificate - cold.certificate) <= gap_tol * (
+                    1.0 + abs(cold.certificate)
+                )
+                assert np.max(np.abs(got.weights - cold.weights)) <= 1e-9
+        # every train after the first, and no cold solve, passed a basis
+        assert starts == [True] * (trains - 1)
+
+    @pytest.mark.parametrize(
+        "run, make_config",
+        [(run_portfolio_study, PortfolioStudyConfig), (run_uq_study, UqStudyConfig)],
+        ids=["portfolio", "uq"],
+    )
+    def test_one_run_study_makes_one_cold_solve(self, monkeypatch, run, make_config):
+        cold = []
+
+        def recording(lp, config=None, warm=None):
+            cold.append(warm is None)
+            return solve_lp(lp, config, warm)
+
+        monkeypatch.setattr(experiments, "solve_lp", recording)
+        starts = self._count_starts(monkeypatch)
+        run(make_config(runs=1))
+        assert sum(cold) == 1
+        assert starts == [True] * (len(cold) - 1)
 
 
 @pytest.fixture(scope="module")
