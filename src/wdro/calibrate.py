@@ -166,6 +166,16 @@ def _argmin_smallest(grid, scores) -> float:
     return next(eps for eps, sc in zip(grid, scores) if sc <= best + tol)
 
 
+def _grid_scores(problem: DecisionProblem, train_data, val_data, grid):
+    """The decisions trained on ``train_data`` at each radius of the grid
+    in turn, and their scores on ``val_data``."""
+    decisions, scores = [], []
+    for eps in grid:
+        decisions.append(problem.train(train_data, eps))
+        scores.append(float(problem.score(decisions[-1], val_data)))
+    return decisions, scores
+
+
 def calibrate_holdout(
     data: np.ndarray,
     problem: DecisionProblem,
@@ -189,11 +199,7 @@ def calibrate_holdout(
     perm = np.random.default_rng(seed).permutation(N)
     train_idx, val_idx = perm[:n_train], perm[n_train:]
 
-    decisions, scores = [], []
-    for eps in grid:
-        dec = problem.train(data[train_idx], eps)
-        decisions.append(dec)
-        scores.append(float(problem.score(dec, data[val_idx])))
+    decisions, scores = _grid_scores(problem, data[train_idx], data[val_idx], grid)
     best = _argmin_smallest(grid, scores)
     return CalibrationResult(
         radius=best,
@@ -222,10 +228,7 @@ def calibrate_kfold(
     fold_radii = []
     score_sums = np.zeros(len(grid))
     for train_data, val_data in folds:
-        scores = []
-        for eps in grid:
-            dec = problem.train(train_data, eps)
-            scores.append(float(problem.score(dec, val_data)))
+        _, scores = _grid_scores(problem, train_data, val_data, grid)
         fold_radii.append(_argmin_smallest(grid, scores))
         score_sums += scores
     radius = float(np.mean(fold_radii))

@@ -7,27 +7,32 @@ problem or a probability bracket), ``experiment`` (study harnesses).
 Exit codes are stable: 0 success, 1 usage or validation failure,
 2 mathematical infeasibility or unboundedness.  All numbers are emitted
 with round-trip-exact formatting; reruns under the same seed produce
-byte-identical artifacts.
+byte-identical artifacts.  Each kind of input value has one reader
+(``_number``, ``_matrix``, ``_path``, ``_grid``, ``_setting``, ...), which
+raises a ``SpecFileError`` naming the field of anything it cannot take.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .calibrate import (
+    _clean_grid,
     calibrate_holdout,
     calibrate_kfold,
     calibrate_uq_kfold,
 )
 from .errors import (
-    EscapingMassPresent,
+    GridEmpty,
     NormUnsupported,
     SpecFileError,
     WdroError,
@@ -68,42 +73,110 @@ _MATH_ERRORS = (
     "EmptySupport",
     "UnboundedPolyhedron",
     "NoCoveringRadius",
+    "EscapingMassPresent",
 )
 
-def _fail(message: str, code: int):
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SpecFileError("expected an object", field=where)
+    return obj
 
 
 def _expect_keys(obj: dict, where: str, required, optional=()):
-    if not isinstance(obj, dict):
-        raise SpecFileError(f"{where} must be an object", field=where)
+    _object(obj, where)
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
-        raise SpecFileError(
-            f"unknown key(s) {unknown} in {where}", field=f"{where}.{unknown[0]}"
-        )
+        raise SpecFileError(f"unknown key(s) {unknown}", field=f"{where}.{unknown[0]}")
     for key in required:
         if key not in obj:
-            raise SpecFileError(
-                f"missing key {key!r} in {where}", field=f"{where}.{key}"
-            )
+            raise SpecFileError(f"missing key {key!r}", field=f"{where}.{key}")
+
+
+def _check_version(doc: dict, where: str) -> None:
+    """A spec or config is at version 1; a config may leave it out."""
+    version = doc.get("version", 1)
+    if isinstance(version, bool) or version != 1:
+        raise SpecFileError(
+            f"unsupported version {version!r}", field=f"{where}.version"
+        )
+
+
+def _number(obj, kind, where: str, nonnegative: bool = False):
+    """``kind(obj)`` for kind int or float.  Anything but a JSON number
+    (a boolean, a string, null, a list), a non-finite float, a fractional
+    int or, with ``nonnegative``, a negative value is a SpecFileError
+    naming ``where``."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise SpecFileError("expected a number", field=where)
+    try:
+        value = kind(obj)
+        finite = math.isfinite(value)
+    except (ValueError, OverflowError):  # int(nan), int(inf), float(10**400)
+        finite = False
+    if not finite:
+        raise SpecFileError("expected a finite number", field=where)
+    if isinstance(obj, float) and value != obj:
+        raise SpecFileError("expected a whole number", field=where)
+    if nonnegative and value < 0:
+        raise SpecFileError("expected a nonnegative number", field=where)
+    return value
 
 
 def _matrix(obj, where: str) -> np.ndarray:
+    """A float array from (nested lists of) JSON numbers.  A boolean,
+    string or null entry, a ragged nesting or a non-finite value is a
+    SpecFileError naming ``where``."""
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise SpecFileError(f"{where} must be numeric", field=where) from None
-    if not np.all(np.isfinite(arr)):
-        raise SpecFileError(f"{where} must be finite", field=where)
-    return arr
+        leaves = np.asarray(obj, dtype=object)
+        if all(type(v) in (int, float) for v in leaves.flat):
+            arr = leaves.astype(float)
+            if np.all(np.isfinite(arr)):
+                return arr
+    except (ValueError, OverflowError):
+        pass
+    raise SpecFileError("expected an array of finite numbers", field=where)
 
 
-def _load_csv_samples(path: str, where: str) -> np.ndarray:
-    file_path = Path(path)
-    if not file_path.exists():
-        raise SpecFileError(f"dataset file {path!r} not found", field=where)
+def _path(obj, where: str) -> Path:
+    if not isinstance(obj, str) or not obj:
+        raise SpecFileError("expected a path", field=where)
+    return Path(obj)
+
+
+def _setting(args, flag: str, doc: dict, key: str, kind, default=None,
+             where: str = "config", nonnegative: bool = False):
+    """The number given by option ``--flag`` or, failing it, by ``key`` of
+    ``doc`` (``default`` when neither is given), read by ``_number`` and
+    reported under the option or under ``where.key``."""
+    value = getattr(args, flag)
+    if value is not None:
+        return _number(value, kind, f"--{flag}", nonnegative)
+    if key in doc:
+        return _number(doc[key], kind, f"{where}.{key}", nonnegative)
+    return default
+
+
+def _grid(text: str | None, doc: dict):
+    """The candidate radii of ``--grid`` (comma-separated) or else of
+    ``config.grid``, cleaned by ``_clean_grid``; None when neither is
+    given."""
+    if text is not None:
+        where, points = "--grid", text.split(",")
+    elif "grid" in doc:
+        where = "config.grid"
+        points = _matrix(doc["grid"], where).reshape(-1)
+    else:
+        return None
+    try:
+        return _clean_grid([float(v) for v in points])
+    except (ValueError, GridEmpty) as exc:
+        raise SpecFileError(str(exc), field=where) from None
+
+
+def _load_csv_samples(obj, where: str) -> np.ndarray:
+    file_path = _path(obj, where)
+    if not file_path.is_file():
+        raise SpecFileError(f"dataset file {obj!r} not found", field=where)
     rows = []
     with file_path.open(newline="") as fh:
         for row in csv.reader(fh):
@@ -114,11 +187,11 @@ def _load_csv_samples(path: str, where: str) -> np.ndarray:
             except ValueError:
                 if rows:
                     raise SpecFileError(
-                        f"non-numeric row in {path!r}", field=where
+                        f"non-numeric row in {obj!r}", field=where
                     ) from None
                 continue  # header row
     if not rows:
-        raise SpecFileError(f"no numeric rows in {path!r}", field=where)
+        raise SpecFileError(f"no numeric rows in {obj!r}", field=where)
     return _matrix(rows, where)
 
 
@@ -130,7 +203,7 @@ def _parse_samples(obj, where: str) -> np.ndarray:
         data = _matrix(obj, where)
     data = np.atleast_2d(data)
     if data.ndim != 2 or data.size == 0:
-        raise SpecFileError(f"{where} must be a nonempty matrix", field=where)
+        raise SpecFileError("expected a nonempty matrix", field=where)
     return data
 
 
@@ -146,23 +219,6 @@ def _parse_polytope(obj, dim: int, where: str) -> Polytope:
         raise SpecFileError(str(exc), field=where) from None
 
 
-def _number(obj, kind, where: str):
-    """``kind(obj)`` for kind int or float; a boolean, a value that does
-    not convert, a non-finite float or a fractional int is a SpecFileError
-    naming ``where``."""
-    if isinstance(obj, bool):
-        raise SpecFileError(f"{where} must be a number, not a boolean", field=where)
-    try:
-        value = kind(obj)
-    except (TypeError, ValueError, OverflowError):
-        raise SpecFileError(f"{where} must be a number", field=where) from None
-    if kind is float and not math.isfinite(value):
-        raise SpecFileError(f"{where} must be finite", field=where)
-    if isinstance(obj, float) and value != obj:
-        raise SpecFileError(f"{where} must be a whole number", field=where)
-    return value
-
-
 def _parse_norm(obj, where: str) -> GroundNorm:
     try:
         return GroundNorm.parse(obj)
@@ -170,72 +226,55 @@ def _parse_norm(obj, where: str) -> GroundNorm:
         raise SpecFileError(str(exc), field=where) from None
 
 
-def _parse_loss(obj, dim: int, where: str):
-    _expect_keys(obj, where, ("type",), _ALL_LOSS_KEYS)
-    kind = obj["type"]
-    if kind in ("max_affine", "min_affine"):
-        _expect_keys(obj, where, ("type", "slopes", "intercepts"))
-        return PiecewiseAffineLoss(
-            _matrix(obj["slopes"], f"{where}.slopes"),
-            _matrix(obj["intercepts"], f"{where}.intercepts"),
-            "max" if kind == "max_affine" else "min",
-        )
-    if kind in ("uq_worst", "uq_best"):
-        _expect_keys(obj, where, ("type", "region"))
-        region = _parse_polytope(obj["region"], dim, f"{where}.region")
-        return EventIndicator(
-            region, "outside" if kind == "uq_worst" else "inside"
-        )
-    if kind == "two_stage_objective":
-        _expect_keys(obj, where, ("type", "Q", "W", "h"))
-        return TwoStageLoss(
-            "objective",
-            W=_matrix(obj["W"], f"{where}.W"),
-            h=_matrix(obj["h"], f"{where}.h"),
-            Q=_matrix(obj["Q"], f"{where}.Q"),
-        )
-    if kind == "two_stage_rhs":
-        _expect_keys(obj, where, ("type", "q", "W", "H", "h"))
-        return TwoStageLoss(
-            "rhs",
-            W=_matrix(obj["W"], f"{where}.W"),
-            h=_matrix(obj["h"], f"{where}.h"),
-            q=_matrix(obj["q"], f"{where}.q"),
-            H=_matrix(obj["H"], f"{where}.H"),
-        )
-    if kind == "separable":
-        _expect_keys(obj, where, ("type", "stages"))
-        if not isinstance(obj["stages"], list) or not obj["stages"]:
+def _parse_stages(obj, where: str) -> tuple:
+    if not isinstance(obj, list) or not obj:
+        raise SpecFileError("expected a nonempty list", field=where)
+    stages = []
+    for t, stage in enumerate(obj):
+        swhere = f"{where}[{t}]"
+        _expect_keys(stage, swhere, ("slopes", "intercepts"), ("support", "kind"))
+        if stage.get("kind", "max") != "max":
             raise SpecFileError(
-                f"{where}.stages must be a nonempty list", field=f"{where}.stages"
+                "separable stages support only max-affine pieces",
+                field=f"{swhere}.kind",
             )
-        stages = []
-        for t, stage in enumerate(obj["stages"]):
-            swhere = f"{where}.stages[{t}]"
-            _expect_keys(
-                stage, swhere, ("slopes", "intercepts"), ("support", "kind")
-            )
-            if stage.get("kind", "max") != "max":
-                raise SpecFileError(
-                    "separable stages support only max-affine pieces",
-                    field=f"{swhere}.kind",
-                )
-            loss = PiecewiseAffineLoss(
-                _matrix(stage["slopes"], f"{swhere}.slopes"),
-                _matrix(stage["intercepts"], f"{swhere}.intercepts"),
-                "max",
-            )
-            support = _parse_polytope(
-                stage.get("support", "free"), loss.dim, f"{swhere}.support"
-            )
-            stages.append((loss, support))
-        return SeparableLoss(tuple(stages))
-    raise SpecFileError(f"unknown loss type {kind!r}", field=f"{where}.type")
+        loss = PiecewiseAffineLoss(
+            _matrix(stage["slopes"], f"{swhere}.slopes"),
+            _matrix(stage["intercepts"], f"{swhere}.intercepts"),
+            "max",
+        )
+        support = _parse_polytope(
+            stage.get("support", "free"), loss.dim, f"{swhere}.support"
+        )
+        stages.append((loss, support))
+    return tuple(stages)
 
 
-_ALL_LOSS_KEYS = (
-    "slopes", "intercepts", "region", "Q", "W", "h", "q", "H", "stages",
-)
+# loss type -> (its keys besides "type", the constructor taking them by name)
+_LOSSES = {
+    "max_affine": (("slopes", "intercepts"), partial(PiecewiseAffineLoss, kind="max")),
+    "min_affine": (("slopes", "intercepts"), partial(PiecewiseAffineLoss, kind="min")),
+    "uq_worst": (("region",), partial(EventIndicator, sense="outside")),
+    "uq_best": (("region",), partial(EventIndicator, sense="inside")),
+    "two_stage_objective": (("Q", "W", "h"), partial(TwoStageLoss, "objective")),
+    "two_stage_rhs": (("q", "W", "H", "h"), partial(TwoStageLoss, "rhs")),
+    "separable": (("stages",), SeparableLoss),
+}
+
+
+def _parse_loss(obj, dim: int, where: str):
+    kind = _object(obj, where).get("type")
+    if not isinstance(kind, str) or kind not in _LOSSES:
+        raise SpecFileError(f"unknown loss type {kind!r}", field=f"{where}.type")
+    keys, make = _LOSSES[kind]
+    _expect_keys(obj, where, ("type", *keys))
+    readers = {
+        "region": lambda value, kwhere: _parse_polytope(value, dim, kwhere),
+        "stages": _parse_stages,
+    }
+    return make(**{
+        key: readers.get(key, _matrix)(obj[key], f"{where}.{key}") for key in keys
+    })
 
 
 def parse_problem_spec(doc: dict) -> DroProblem:
@@ -243,39 +282,84 @@ def parse_problem_spec(doc: dict) -> DroProblem:
     _expect_keys(
         doc, "spec", ("version", "norm", "support", "samples", "radius", "loss")
     )
-    if doc["version"] != 1:
-        raise SpecFileError(
-            f"unsupported version {doc['version']!r}", field="spec.version"
-        )
+    _check_version(doc, "spec")
     samples = _parse_samples(doc["samples"], "spec.samples")
     dim = samples.shape[1]
     norm = _parse_norm(doc["norm"], "spec.norm")
     support = _parse_polytope(doc["support"], dim, "spec.support")
-    radius = doc["radius"]
-    if not isinstance(radius, (int, float)) or not np.isfinite(radius) or radius < 0:
-        raise SpecFileError(
-            "radius must be a nonnegative number", field="spec.radius"
-        )
+    radius = _number(doc["radius"], float, "spec.radius", nonnegative=True)
     loss = _parse_loss(doc["loss"], dim, "spec.loss")
     try:
-        return DroProblem(samples, support, float(radius), norm, loss)
-    except SpecFileError:
-        raise
+        return DroProblem(samples, support, radius, norm, loss)
     except WdroError as exc:
         raise SpecFileError(str(exc), field="spec") from None
 
 
-def _load_spec_file(path: str) -> dict:
+def _num(kind):
+    return lambda value, where, read: _number(value, kind, where)
+
+
+# per dataclass, its JSON keys in reading order -> reader(value, where,
+# the keyword arguments read so far)
+_MARKET_FIELDS = {
+    "m": _num(int),
+    "systematic_scale": _num(float),
+    "idio_mean_step": _num(float),
+    "idio_scale_step": _num(float),
+    "scale_interpretation": lambda value, where, read: value,
+}
+_PORTFOLIO_FIELDS = {
+    "m": _num(int),
+    "rho": _num(float),
+    "alpha": _num(float),
+    "ground_norm": lambda value, where, read: _parse_norm(value, where),
+    "support": lambda value, where, read: _parse_polytope(value, read["m"], where),
+}
+
+
+def _parse_fields(cls, obj, where: str, fields: dict, **read):
+    """``cls(**read)`` after each key of the object ``obj`` is read into
+    ``read`` by its entry in ``fields``."""
+    _expect_keys(obj, where, (), fields)
+    for key, reader in fields.items():
+        if key in obj:
+            read[key] = reader(obj[key], f"{where}.{key}", read)
+    try:
+        return cls(**read)
+    except WdroError as exc:
+        raise SpecFileError(str(exc), field=where) from None
+
+
+def _load_spec_file(path: str, where: str) -> dict:
     file_path = Path(path)
-    if not file_path.exists():
+    if not file_path.is_file():
         raise SpecFileError(f"spec file {path!r} not found", field="--spec")
     try:
-        return json.loads(file_path.read_text())
+        doc = json.loads(file_path.read_text())
     except json.JSONDecodeError as exc:
         raise SpecFileError(
             f"invalid JSON in {path!r}: line {exc.lineno} column {exc.colno}",
             field="--spec",
         ) from None
+    return _object(doc, where)
+
+
+def _load_config(args, required, optional) -> dict:
+    """The config object of ``--spec``, its keys and version checked."""
+    doc = _load_spec_file(args.spec, "config")
+    _expect_keys(doc, "config", required, ("version", *optional))
+    _check_version(doc, "config")
+    return doc
+
+
+def _load_problem(args) -> DroProblem:
+    """The problem of ``--spec``, at the radius of ``--epsilon`` if given."""
+    doc = _load_spec_file(args.spec, "spec")
+    radius = _setting(args, "epsilon", doc, "radius", float, where="spec",
+                      nonnegative=True)
+    if radius is not None:
+        doc["radius"] = radius
+    return parse_problem_spec(doc)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -286,15 +370,8 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _exit_code_for(exc: WdroError) -> int:
-    return 2 if type(exc).__name__ in _MATH_ERRORS else 1
-
-
 def cmd_solve(args) -> int:
-    doc = _load_spec_file(args.spec)
-    if args.epsilon is not None:
-        doc = {**doc, "radius": args.epsilon}
-    problem = parse_problem_spec(doc)
+    problem = _load_problem(args)
     lp = _builder_for(problem.loss)(problem)
     if args.dump_lp:
         Path(args.dump_lp).write_text(dump_program(lp))
@@ -323,10 +400,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_worstcase(args) -> int:
-    doc = _load_spec_file(args.spec)
-    if args.epsilon is not None:
-        doc = {**doc, "radius": args.epsilon}
-    problem = parse_problem_spec(doc)
+    problem = _load_problem(args)
     if isinstance(problem.loss, SeparableLoss):
         res = worst_case_distribution_separable(problem)
     else:
@@ -354,10 +428,7 @@ def cmd_worstcase(args) -> int:
     if res.escaping_mass == 0.0:
         report = verify_membership(res, problem)
         result["membership"] = {
-            "distance": report.distance,
-            "radius": report.radius,
-            "tolerance": report.tolerance,
-            "within_ball": bool(report.within_ball),
+            **dataclasses.asdict(report), "within_ball": bool(report.within_ball)
         }
     else:
         result["membership"] = None
@@ -365,27 +436,11 @@ def cmd_worstcase(args) -> int:
     return 0
 
 
-def _parse_grid_flag(text: str):
-    try:
-        grid = tuple(float(v) for v in text.split(","))
-        if all(math.isfinite(v) and v >= 0 for v in grid):
-            return grid
-    except ValueError:
-        pass
-    raise SpecFileError(
-        f"--grid expects comma-separated finite nonnegative numbers, got {text!r}",
-        field="--grid",
-    )
-
-
 def cmd_calibrate(args) -> int:
-    doc = _load_spec_file(args.spec)
-    _expect_keys(
-        doc,
-        "config",
-        ("method",),
-        ("version", "samples", "market", "n_samples", "portfolio", "grid",
-         "folds", "split", "seed", "region"),
+    doc = _load_config(
+        args, ("method",),
+        ("samples", "market", "n_samples", "portfolio", "grid", "folds",
+         "split", "seed", "region"),
     )
     method = doc["method"]
     if method not in ("holdout", "kfold", "uq_kfold"):
@@ -393,26 +448,17 @@ def cmd_calibrate(args) -> int:
             f"unknown method {method!r}; use holdout, kfold or uq_kfold",
             field="config.method",
         )
-    seed = args.seed if args.seed is not None else _number(
-        doc.get("seed", 0), int, "config.seed"
-    )
-    if args.grid:
-        grid = _parse_grid_flag(args.grid)
-    elif "grid" in doc:
-        grid = tuple(_matrix(doc["grid"], "config.grid").reshape(-1))
-        if any(v < 0 for v in grid):
-            raise SpecFileError("config.grid must be nonnegative", field="config.grid")
-    else:
-        grid = None
-    folds = args.folds if args.folds is not None else _number(
-        doc.get("folds", 5), int, "config.folds"
-    )
+    seed = _setting(args, "seed", doc, "seed", int, 0, nonnegative=True)
+    grid = _grid(args.grid, doc)
+    folds = _setting(args, "folds", doc, "folds", int, 5)
 
     if "samples" in doc:
         data = _parse_samples(doc["samples"], "config.samples")
     elif "market" in doc:
-        market = _parse_market(doc["market"], "config.market")
-        n = _number(doc.get("n_samples", 30), int, "config.n_samples")
+        market = _parse_fields(MarketModel, doc["market"], "config.market",
+                               _MARKET_FIELDS)
+        n = _number(doc.get("n_samples", 30), int, "config.n_samples",
+                    nonnegative=True)
         data = market.sample(n, np.random.default_rng(seed))
     else:
         raise SpecFileError(
@@ -432,20 +478,12 @@ def cmd_calibrate(args) -> int:
             data, region, grid, k=folds, seed=seed,
             bound_fns=fast_uq_bounds(region),
         )
-        result["bounds"] = [
-            {
-                "side": b.side,
-                "radius": b.radius,
-                "value": b.value,
-                "fold_radii": list(b.fold_radii),
-            }
-            for b in cal.bounds
-        ]
+        result["bounds"] = [dataclasses.asdict(b) for b in cal.bounds]
         result["radius"] = cal.radius
     else:
-        spec = _parse_portfolio(
-            doc.get("portfolio", {}), data.shape[1], "config.portfolio"
-        )
+        spec = _parse_fields(PortfolioSpec, doc.get("portfolio", {}),
+                             "config.portfolio", _PORTFOLIO_FIELDS,
+                             m=data.shape[1])
         problem = PortfolioDecisionProblem(spec)
         if method == "holdout":
             cal = calibrate_holdout(
@@ -463,83 +501,36 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _parse_market(obj, where: str) -> MarketModel:
-    _expect_keys(
-        obj, where, (),
-        ("m", "systematic_scale", "idio_mean_step", "idio_scale_step",
-         "scale_interpretation"),
-    )
-    kwargs = {}
-    for key, value in obj.items():
-        if key != "scale_interpretation":
-            value = _number(value, int if key == "m" else float, f"{where}.{key}")
-        kwargs[key] = value
-    try:
-        return MarketModel(**kwargs)
-    except WdroError as exc:
-        raise SpecFileError(str(exc), field=where) from None
-
-
-def _parse_portfolio(obj, dim: int, where: str) -> PortfolioSpec:
-    _expect_keys(obj, where, (), ("m", "rho", "alpha", "support", "ground_norm"))
-    kwargs = dict(obj)
-    kwargs.setdefault("m", dim)
-    if "ground_norm" in kwargs:
-        kwargs["ground_norm"] = _parse_norm(
-            kwargs["ground_norm"], f"{where}.ground_norm"
-        )
-    if "support" in kwargs:
-        kwargs["support"] = _parse_polytope(
-            kwargs["support"], kwargs["m"], f"{where}.support"
-        )
-    try:
-        return PortfolioSpec(**kwargs)
-    except WdroError as exc:
-        raise SpecFileError(str(exc), field=where) from None
-
-
 def cmd_experiment(args) -> int:
-    doc = _load_spec_file(args.spec)
-    _expect_keys(
-        doc,
-        "config",
-        ("study",),
-        ("version", "runs", "master_seed", "out_dir"),
-    )
+    doc = _load_config(args, ("study",), ("runs", "master_seed", "out_dir"))
     study = doc["study"]
     if study not in ("portfolio", "uq"):
         raise SpecFileError(
-            f"unknown study {study!r}; use portfolio or uq", field="config.study"
+            f"unknown study {study!r}; use portfolio or uq",
+            field="config.study",
         )
-    overrides = {}
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    elif "runs" in doc:
-        overrides["runs"] = _number(doc["runs"], int, "config.runs")
-    if args.seed is not None:
-        overrides["master_seed"] = int(args.seed)
-    elif "master_seed" in doc:
-        overrides["master_seed"] = _number(
-            doc["master_seed"], int, "config.master_seed"
-        )
-    out_dir = args.out or doc.get("out_dir")
-    if not out_dir:
+    if not args.out and "out_dir" not in doc:
         raise SpecFileError(
             "experiment needs an output directory (--out or out_dir)",
             field="config.out_dir",
         )
+    out_dir = args.out or _path(doc["out_dir"], "config.out_dir")
     if study == "portfolio":
         base = (
             PortfolioStudyConfig.full_scale()
             if args.full_scale
             else PortfolioStudyConfig()
         )
-        config = type(base)(**{**base.__dict__, **overrides})
-        report = run_portfolio_study(config)
+        run = run_portfolio_study
     else:
-        config = UqStudyConfig(**{**UqStudyConfig().__dict__, **overrides})
-        report = run_uq_study(config)
-    paths = report.write(out_dir)
+        base, run = UqStudyConfig(), run_uq_study
+    config = dataclasses.replace(
+        base,
+        runs=_setting(args, "runs", doc, "runs", int, base.runs),
+        master_seed=_setting(args, "seed", doc, "master_seed", int,
+                             base.master_seed, nonnegative=True),
+    )
+    paths = run(config).write(out_dir)
     listing = {name: str(path) for name, path in sorted(paths.items())}
     _emit({"study": study, "artifacts": listing}, None)
     return 0
@@ -599,13 +590,11 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except EscapingMassPresent as exc:
-        return _fail(str(exc), 2)
-    except SpecFileError as exc:
-        suffix = f" (field: {exc.field})" if exc.field else ""
-        return _fail(f"{exc}{suffix}", 1)
     except WdroError as exc:
-        return _fail(str(exc), _exit_code_for(exc))
+        field = getattr(exc, "field", None)
+        suffix = f" (field: {field})" if field else ""
+        print(f"error: {exc}{suffix}", file=sys.stderr)
+        return 2 if type(exc).__name__ in _MATH_ERRORS else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

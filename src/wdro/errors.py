@@ -104,6 +104,5 @@ class SpecFileError(WdroError):
     offending JSON path when known."""
 
     def __init__(self, message: str, field: str | None = None):
-        prefix = f"{field}: " if field else ""
-        super().__init__(prefix + message)
+        super().__init__(message)
         self.field = field

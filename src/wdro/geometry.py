@@ -151,7 +151,7 @@ def _polytope_lp(C: np.ndarray, d: np.ndarray, cost=None, near=None) -> LpSoluti
         point, norm = near
         t = b.var("t", lb=0.0)
         b.set_objective({t: 1.0})
-        b.add_norm_le([({x[j]: 1.0}, -point[j]) for j in range(dim)], t, norm.value)
+        b.add_norm_le([({x[j]: 1.0}, -point[j]) for j in range(dim)], t, norm)
     elif cost is not None:
         b.set_objective(dict(zip(x, cost)))
     for i in range(C.shape[0]):

@@ -20,11 +20,14 @@ this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .errors import MalformedProgram, TooLarge
+
+if TYPE_CHECKING:
+    from .geometry import GroundNorm
 
 __all__ = [
     "MAX_DENSE_BYTES",
@@ -243,18 +246,18 @@ class LpBuilder:
         self,
         exprs: Sequence[tuple[Mapping[Var, float], float]],
         bound: Var,
-        kind: str,
+        norm: GroundNorm,
         tag: str = "",
     ) -> None:
-        """Rows enforcing ||v||_kind <= bound for the affine vector v whose
+        """Rows enforcing ||v||_norm <= bound for the affine vector v whose
         component j is ``exprs[j]`` (a {var: coeff} mapping plus constant).
 
         For the max-norm this is the row pair v_j <= bound, -v_j <= bound
         per component.  For the 1-norm one auxiliary variable per component
         carries |v_j| and a single row sums them.  Callers enforcing a
-        dual-norm constraint pass the dual kind.
+        dual-norm constraint pass the dual norm.
         """
-        if kind == "linf":
+        if norm.value == "linf":
             for terms, const in exprs:
                 row = dict(terms)
                 row[bound] = row.get(bound, 0.0) - 1.0
@@ -262,7 +265,7 @@ class LpBuilder:
                 row = {v: -t for v, t in terms.items()}
                 row[bound] = row.get(bound, 0.0) - 1.0
                 self.add_le(row, const)
-        elif kind == "l1":
+        else:
             aux = self.vars(f"abs{tag}", len(exprs), lb=0.0)
             for (terms, const), u in zip(exprs, aux):
                 row = dict(terms)
@@ -274,8 +277,6 @@ class LpBuilder:
             total = {u: 1.0 for u in aux}
             total[bound] = total.get(bound, 0.0) - 1.0
             self.add_le(total, 0.0)
-        else:
-            raise MalformedProgram(f"unknown norm kind {kind!r}")
 
     def build(self) -> LinearProgram:
         n, m = len(self._names), len(self._rows)

@@ -391,11 +391,11 @@ class _Assembler:
             c = np.array([t.get(scale, 0.0) for t, _ in part])
             b.add_le({scale: norm_value(c, self.dual), self.lam: -1.0}, 0.0)
         else:
-            b.add_norm_le(vec, self.lam, self.dual.value, tag=tag)
+            b.add_norm_le(vec, self.lam, self.dual, tag=tag)
 
     def _flush(self) -> None:
         for key, part in self._shared.items():
-            self.b.add_norm_le(part, self.lam, self.dual.value, tag=key)
+            self.b.add_norm_le(part, self.lam, self.dual, tag=key)
         self._shared.clear()
 
     def build(self) -> LinearProgram:
@@ -503,13 +503,12 @@ def build_uq_best(p: DroProblem) -> LinearProgram:
     region = p.loss.region
     A, bv = region.C, region.d
 
-    if p.support.is_free:
-        if region.n_rows and not region.nonempty():
-            raise HypothesisViolated("the region is empty")
-    else:
-        C = np.vstack([p.support.C, A])
-        if _polytope_lp(C, np.concatenate([p.support.d, bv])).status != "optimal":
-            raise HypothesisViolated("the region never meets the support")
+    C = np.vstack([p.support.C, A])
+    if not Polytope(C, np.concatenate([p.support.d, bv]), p.dim).nonempty():
+        raise HypothesisViolated(
+            "the region is empty" if p.support.is_free
+            else "the region never meets the support"
+        )
 
     a = _Assembler(p.radius, p.norm)
     s = a.epigraph(p.n_samples, lb=0.0)

@@ -1,5 +1,6 @@
 """Command-line round trips, exit codes and artifact determinism."""
 
+import copy
 import json
 import math
 
@@ -427,21 +428,120 @@ BOOLEAN_NUMBERS = [
 ]
 
 
+@pytest.fixture
+def no_study(tmp_path, monkeypatch):
+    """Run in the temporary directory, where a relative out_dir lands, and
+    fail the test if a study starts: every input here is rejected while
+    it is read."""
+    monkeypatch.chdir(tmp_path)
+    for study in ("run_portfolio_study", "run_uq_study"):
+        monkeypatch.setattr(f"wdro.cli.{study}", lambda config: pytest.fail("ran"))
+
+
+def with_value(doc, path, value):
+    """A copy of ``doc`` with the dotted key ``path`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path.split(".")
+    obj = doc
+    for key in parents:
+        obj = obj[key]
+    obj[last] = value
+    return doc
+
+
+# inputs that ran with a wrong value or crashed before each kind of value
+# had one reader: a command with its flags, the spec or config, the field
+LOOSE_INPUTS = [
+    ("solve", with_value(hinge_spec(), "radius", True), "spec.radius"),
+    ("solve", with_value(hinge_spec(), "version", True), "spec.version"),
+    ("solve", with_value(hinge_spec(), "samples", [[True], [False]]),
+     "spec.samples"),
+    ("solve", with_value(box_spec(), "support.C", [[True], [-1.0]]),
+     "spec.support.C"),
+    ("solve", with_value(hinge_spec(), "loss.slopes", [[False], [True]]),
+     "spec.loss.slopes"),
+    ("solve", with_value(hinge_spec(), "samples", [[10**400]]), "spec.samples"),
+    ("calibrate", {"method": "kfold", "market": {}, "version": 99},
+     "config.version"),
+    ("experiment", {"study": "uq", "version": "banana", "out_dir": "x"},
+     "config.version"),
+    ("calibrate --seed -1", {"method": "kfold", "market": {}}, "--seed"),
+    ("calibrate", {"method": "kfold", "market": {}, "seed": -1}, "config.seed"),
+    ("experiment --seed -5", {"study": "uq", "out_dir": "x"}, "--seed"),
+    ("experiment", {"study": "uq", "master_seed": -3, "out_dir": "x"},
+     "config.master_seed"),
+    ("calibrate", {"method": "kfold", "market": {}, "portfolio": {"rho": True}},
+     "config.portfolio.rho"),
+    ("calibrate", {"method": "kfold", "market": {}, "portfolio": {"rho": "10"}},
+     "config.portfolio.rho"),
+    ("calibrate", {"method": "kfold", "market": {}, "portfolio": {"alpha": None}},
+     "config.portfolio.alpha"),
+    ("calibrate", {"method": "kfold", "market": {}, "portfolio": {"m": 2.5}},
+     "config.portfolio.m"),
+    ("experiment", {"study": "uq", "out_dir": 5}, "config.out_dir"),
+    ("solve --epsilon -1", hinge_spec(), "--epsilon"),
+    ("solve --epsilon 1", [hinge_spec()], "spec"),
+    ("calibrate", {"method": "kfold", "market": {}, "n_samples": -1},
+     "config.n_samples"),
+    ("calibrate", {"method": "kfold", "samples": {"csv": 5}},
+     "config.samples.csv"),
+    ("calibrate", {"method": "uq_kfold", "samples": [[0.0], [1.0]],
+                   "region": {"C": [[1.0]], "d": [True]}}, "config.region.d"),
+]
+
+
 @pytest.mark.parametrize(
     "command, config, field",
-    MALFORMED_NUMBERS + INEXACT_NUMBERS + BOOLEAN_NUMBERS,
+    MALFORMED_NUMBERS + INEXACT_NUMBERS + BOOLEAN_NUMBERS + LOOSE_INPUTS,
     ids=[field for _, _, field in MALFORMED_NUMBERS]
     + [f"{field}-inexact" for _, _, field in INEXACT_NUMBERS]
-    + [f"{field}-bool" for _, _, field in BOOLEAN_NUMBERS],
+    + [f"{field}-bool" for _, _, field in BOOLEAN_NUMBERS]
+    + [f"{command.split()[0]}:{field}-loose" for command, _, field in LOOSE_INPUTS],
 )
 def test_malformed_config_number_names_the_field(
-    tmp_path, capsys, monkeypatch, command, config, field
+    tmp_path, capsys, no_study, command, config, field
 ):
-    # a relative out_dir lands in the temporary directory if a study runs
-    monkeypatch.chdir(tmp_path)
-    code = main([command, "--spec", write_spec(tmp_path, config)])
+    name, *flags = command.split()
+    code = main([name, "--spec", write_spec(tmp_path, config), *flags])
     assert code == 1
-    assert f"(field: {field})" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"(field: {field})" in err
+    assert err.count(field) == 1
+
+
+# every scalar number a spec or config holds, on a base that reads them all
+SWEEP_BASES = {
+    "solve": hinge_spec(),
+    "calibrate": {"method": "holdout", "market": {"m": 2},
+                  "portfolio": {"m": 2}, "n_samples": 6, "grid": [0.1]},
+    "experiment": {"study": "uq", "out_dir": "x"},
+}
+SWEEP_KEYS = [
+    ("solve", "version"), ("solve", "radius"),
+    ("calibrate", "version"), ("calibrate", "seed"), ("calibrate", "folds"),
+    ("calibrate", "n_samples"), ("calibrate", "split"),
+    ("calibrate", "market.m"), ("calibrate", "market.systematic_scale"),
+    ("calibrate", "market.idio_mean_step"),
+    ("calibrate", "market.idio_scale_step"),
+    ("calibrate", "portfolio.m"), ("calibrate", "portfolio.rho"),
+    ("calibrate", "portfolio.alpha"),
+    ("experiment", "version"), ("experiment", "runs"),
+    ("experiment", "master_seed"),
+]
+SEED_KEYS = ("seed", "master_seed")
+
+
+@pytest.mark.parametrize(
+    "command, key", SWEEP_KEYS, ids=[f"{c}:{k}" for c, k in SWEEP_KEYS]
+)
+def test_every_number_rejects_non_numbers(tmp_path, capsys, no_study, command, key):
+    field = ("spec." if command == "solve" else "config.") + key
+    values = [True, None, "x", [1]] + ([-1] if key in SEED_KEYS else [])
+    for value in values:
+        doc = with_value(SWEEP_BASES[command], key, value)
+        assert main([command, "--spec", write_spec(tmp_path, doc)]) == 1, value
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err and err.count(field) == 1, (value, err)
 
 
 class TestExperiment:
