@@ -137,10 +137,22 @@ def _matrix(obj, where: str) -> np.ndarray:
     raise SpecFileError("expected an array of finite numbers", field=where)
 
 
-def _path(obj, where: str) -> Path:
+def _path(obj, where: str, use: str = "read") -> Path:
+    """A nonempty path string that the command can ``use``, checked before
+    any work starts: "read" an existing file, "write" a file into an
+    existing directory, or "create" a directory with no file in the way."""
     if not isinstance(obj, str) or not obj:
         raise SpecFileError("expected a path", field=where)
-    return Path(obj)
+    path = Path(obj)
+    if use == "read":
+        usable = path.is_file()
+    elif use == "write":
+        usable = path.parent.is_dir() and not path.is_dir()
+    else:
+        usable = not any(p.exists() and not p.is_dir() for p in (path, *path.parents))
+    if not usable:
+        raise SpecFileError(f"cannot {use} {obj!r}", field=where)
+    return path
 
 
 def _setting(args, flag: str, doc: dict, key: str, kind, default=None,
@@ -175,8 +187,6 @@ def _grid(text: str | None, doc: dict):
 
 def _load_csv_samples(obj, where: str) -> np.ndarray:
     file_path = _path(obj, where)
-    if not file_path.is_file():
-        raise SpecFileError(f"dataset file {obj!r} not found", field=where)
     rows = []
     with file_path.open(newline="") as fh:
         for row in csv.reader(fh):
@@ -331,9 +341,7 @@ def _parse_fields(cls, obj, where: str, fields: dict, **read):
 
 
 def _load_spec_file(path: str, where: str) -> dict:
-    file_path = Path(path)
-    if not file_path.is_file():
-        raise SpecFileError(f"spec file {path!r} not found", field="--spec")
+    file_path = _path(path, "--spec")
     try:
         doc = json.loads(file_path.read_text())
     except json.JSONDecodeError as exc:
@@ -362,10 +370,10 @@ def _load_problem(args) -> DroProblem:
     return parse_problem_spec(doc)
 
 
-def _emit(doc: dict, out: str | None) -> None:
+def _emit(doc: dict, out: Path | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        out.write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -374,7 +382,7 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args)
     lp = _builder_for(problem.loss)(problem)
     if args.dump_lp:
-        Path(args.dump_lp).write_text(dump_program(lp))
+        args.dump_lp.write_text(dump_program(lp))
     value, sol = _solve_program(lp)
     if not np.isfinite(value):
         print(
@@ -484,6 +492,9 @@ def cmd_calibrate(args) -> int:
         spec = _parse_fields(PortfolioSpec, doc.get("portfolio", {}),
                              "config.portfolio", _PORTFOLIO_FIELDS,
                              m=data.shape[1])
+        if spec.m != data.shape[1]:
+            raise SpecFileError(f"the data have {data.shape[1]} assets, not {spec.m}",
+                                field="config.portfolio.m")
         problem = PortfolioDecisionProblem(spec)
         if method == "holdout":
             cal = calibrate_holdout(
@@ -501,29 +512,34 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+# study -> (config class, runner); a runner reads this module's study
+# function at call time, so rebinding that name reaches it
+_STUDIES = {
+    "portfolio": (PortfolioStudyConfig, lambda config: run_portfolio_study(config)),
+    "uq": (UqStudyConfig, lambda config: run_uq_study(config)),
+}
+
+
 def cmd_experiment(args) -> int:
     doc = _load_config(args, ("study",), ("runs", "master_seed", "out_dir"))
     study = doc["study"]
-    if study not in ("portfolio", "uq"):
+    if not isinstance(study, str) or study not in _STUDIES:
         raise SpecFileError(
-            f"unknown study {study!r}; use portfolio or uq",
+            f"unknown study {study!r}; use {' or '.join(_STUDIES)}",
             field="config.study",
+        )
+    cls, run = _STUDIES[study]
+    if args.full_scale and not hasattr(cls, "full_scale"):
+        raise SpecFileError(
+            f"the {study} study has no full-scale setting", field="--full-scale"
         )
     if not args.out and "out_dir" not in doc:
         raise SpecFileError(
             "experiment needs an output directory (--out or out_dir)",
             field="config.out_dir",
         )
-    out_dir = args.out or _path(doc["out_dir"], "config.out_dir")
-    if study == "portfolio":
-        base = (
-            PortfolioStudyConfig.full_scale()
-            if args.full_scale
-            else PortfolioStudyConfig()
-        )
-        run = run_portfolio_study
-    else:
-        base, run = UqStudyConfig(), run_uq_study
+    out_dir = args.out or _path(doc["out_dir"], "config.out_dir", "create")
+    base = cls.full_scale() if args.full_scale else cls()
     config = dataclasses.replace(
         base,
         runs=_setting(args, "runs", doc, "runs", int, base.runs),
@@ -589,6 +605,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        # output paths are checked before any command reads or runs
+        if args.out:
+            use = "create" if args.command == "experiment" else "write"
+            args.out = _path(args.out, "--out", use)
+        if getattr(args, "dump_lp", None):
+            args.dump_lp = _path(args.dump_lp, "--dump-lp", "write")
         return args.func(args)
     except WdroError as exc:
         field = getattr(exc, "field", None)

@@ -22,10 +22,11 @@ import csv
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import integrate
 from scipy.linalg import qr
 from scipy.special import ndtr, owens_t
@@ -218,7 +219,6 @@ def _solve_portfolio_free(spec, data, epsilon, warm=None):
     sample mean-CVaR plus a norm-of-weights penalty.  Equivalent to the
     joint program (tested); roughly halves the row count.  The layout is
     in :func:`_free_shared_columns`."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
     N, m = data.shape
     a_coef, _ = spec.pieces()
     kappa = float(np.max(np.abs(a_coef)))
@@ -329,6 +329,9 @@ def solve_portfolio(
     data, or one mapped onto this data's program (as
     :class:`PortfolioDecisionProblem` does on the free support); the
     solve starts from it (see :func:`wdro.simplex.solve_lp`)."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if data.shape[1] != spec.m:
+        raise DimensionMismatch("data dimension does not match asset count")
     if spec.resolved_support().is_free:
         return _solve_portfolio_free(spec, data, epsilon, warm)
     return _portfolio_result(build_portfolio_dro(spec, data, epsilon), spec.m, warm)
@@ -571,19 +574,6 @@ def _csv_write(path: Path, header, rows) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _versions() -> dict:
-    import scipy
-
-    from . import __version__
-
-    return {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "wdro": __version__,
-    }
-
-
 @dataclass(frozen=True)
 class StudyReport:
     """Raw per-run rows plus aggregated summaries and a replay manifest.
@@ -612,6 +602,17 @@ def _geom(lo, hi, count):
     return tuple(float(v) for v in np.geomspace(lo, hi, count))
 
 
+def _check_shared(config) -> None:
+    """The checks of the fields both study configs share."""
+    if config.runs < 1:
+        raise DimensionMismatch("need at least one run")
+    # NaN fails both comparisons
+    if not config.epsilons or not all(0.0 <= e < np.inf for e in config.epsilons):
+        raise DimensionMismatch("radius sweep must be nonempty, finite and nonnegative")
+    if config.market.m != config.portfolio.m:
+        raise DimensionMismatch("market and portfolio dimensions differ")
+
+
 @dataclass(frozen=True)
 class PortfolioStudyConfig:
     """Defaults are desk-scale; ``full_scale`` restores the original run
@@ -638,12 +639,7 @@ class PortfolioStudyConfig:
         )
 
     def validate(self):
-        if self.runs < 1:
-            raise DimensionMismatch("need at least one run")
-        if not self.epsilons or any(e < 0 for e in self.epsilons):
-            raise DimensionMismatch("radius sweep must be nonempty and nonnegative")
-        if self.market.m != self.portfolio.m:
-            raise DimensionMismatch("market and portfolio dimensions differ")
+        _check_shared(self)
 
 
 @dataclass(frozen=True)
@@ -664,16 +660,70 @@ class UqStudyConfig:
     portfolio: PortfolioSpec = field(default_factory=PortfolioSpec)
 
     def validate(self):
-        if self.runs < 1:
-            raise DimensionMismatch("need at least one run")
+        _check_shared(self)
         if not (1 <= self.risky_assets <= self.market.m):
             raise DimensionMismatch("risky asset count out of range")
-        if self.market.m != self.portfolio.m:
-            raise DimensionMismatch("market and portfolio dimensions differ")
         if self.portfolio.support is not None:
             raise DimensionMismatch(
                 "the probability study uses unconstrained support"
             )
+
+
+def _arms(config, arms):
+    """The seed scheme of both studies: ``SeedSequence(master_seed)``
+    spawns one child per run, each run one per arm (sample size N, in the
+    order of ``arms``) and each arm three.  The first of the three draws
+    the arm's N samples from the market; the other two are the arm's
+    ``seeds``.  Yields (run, N, data, seeds)."""
+    run_seqs = np.random.SeedSequence(config.master_seed).spawn(config.runs)
+    for r, run_seq in enumerate(run_seqs):
+        for N, arm_seq in zip(arms, run_seq.spawn(len(arms))):
+            data_seq, *seeds = arm_seq.spawn(3)
+            yield r, N, config.market.sample(N, np.random.default_rng(data_seq)), seeds
+
+
+def _per_radius(rows, ns, epsilons, stats):
+    """One summary row (N, radius, *stats(cols)) per sample size N and
+    radius, from the per-run ``rows`` (run, N, radius, ...) at that pair;
+    ``cols[j]`` is their column j as a float array."""
+    summary = []
+    for N in ns:
+        for eps in map(float, epsilons):
+            sel = [row for row in rows if row[1] == N and row[2] == eps]
+            cols = np.array(list(zip(*sel)), dtype=float)
+            summary.append((N, eps, *(float(v) for v in stats(cols))))
+    return summary
+
+
+def _manifest(config, study: str, purposes, **fields) -> dict:
+    """The replay record of a study: the config fields both studies share,
+    the seed scheme (``purposes`` names the two ``seeds`` of an arm) and
+    the package versions, plus the study's own ``fields``."""
+    from . import __version__
+
+    spec = config.portfolio
+    return {
+        "study": study,
+        "master_seed": config.master_seed,
+        "seed_scheme": "SeedSequence spawn: run -> arm -> (data, {}, {})".format(*purposes),
+        "runs": config.runs,
+        "epsilons": list(map(float, config.epsilons)),
+        "k_folds": config.k_folds,
+        "market": asdict(config.market),
+        "portfolio": {
+            "rho": spec.rho,
+            "alpha": spec.alpha,
+            "ground_norm": spec.ground_norm.value,
+            "support": "free" if spec.support is None else "polytope",
+        },
+        "versions": {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "wdro": __version__,
+        },
+        **fields,
+    }
 
 
 def run_portfolio_study(config: PortfolioStudyConfig) -> StudyReport:
@@ -683,94 +733,50 @@ def run_portfolio_study(config: PortfolioStudyConfig) -> StudyReport:
     config.validate()
     spec, market = config.portfolio, config.market
     template = PortfolioDecisionProblem(spec)
-    arms = sorted(set(config.n_curve) | set(config.n_calibration))
-    run_seqs = np.random.SeedSequence(config.master_seed).spawn(config.runs)
-
     curve_rows, cal_rows = [], []
-    for r in range(config.runs):
-        arm_seqs = run_seqs[r].spawn(len(arms))
-        for a, N in enumerate(arms):
-            data_seq, hold_seq, cv_seq = arm_seqs[a].spawn(3)
-            data = market.sample(N, np.random.default_rng(data_seq))
-            if N in config.n_curve:
-                for eps in config.epsilons:
-                    res = template.train(data, eps)
-                    oos = out_of_sample_objective(res.weights, spec, market)
-                    curve_rows.append(
-                        (r, N, float(eps), res.certificate, oos,
-                         int(oos <= res.certificate))
-                    )
-            if N in config.n_calibration:
-                hold = calibrate_holdout(
-                    data, template, config.calibration_grid,
-                    split=config.holdout_split, seed=hold_seq,
+    arms = sorted(set(config.n_curve) | set(config.n_calibration))
+    for r, N, data, (hold_seq, cv_seq) in _arms(config, arms):
+        if N in config.n_curve:
+            for eps in config.epsilons:
+                res = template.train(data, eps)
+                oos = out_of_sample_objective(res.weights, spec, market)
+                curve_rows.append(
+                    (r, N, float(eps), res.certificate, oos,
+                     int(oos <= res.certificate))
                 )
-                cv = calibrate_kfold(
-                    data, template, config.calibration_grid,
-                    k=config.k_folds, seed=cv_seq,
-                )
-                saa = template.train(data, 0.0)
-                cal_rows.append(
-                    (
-                        r, N,
-                        hold.radius,
-                        cv.radius,
-                        out_of_sample_objective(hold.decision.weights, spec, market),
-                        out_of_sample_objective(cv.decision.weights, spec, market),
-                        out_of_sample_objective(saa.weights, spec, market),
-                    )
-                )
-
-    summary_rows = []
-    for N in config.n_curve:
-        for eps in config.epsilons:
-            sel = [row for row in curve_rows if row[1] == N and row[2] == float(eps)]
-            oos = np.array([row[4] for row in sel])
-            cert = np.array([row[3] for row in sel])
-            rel = float(np.mean([row[5] for row in sel]))
-            summary_rows.append(
-                (
-                    N, float(eps),
-                    float(oos.mean()),
-                    float(np.quantile(oos, 0.2)),
-                    float(np.quantile(oos, 0.8)),
-                    float(cert.mean()),
-                    rel,
-                )
+        if N in config.n_calibration:
+            hold = calibrate_holdout(
+                data, template, config.calibration_grid,
+                split=config.holdout_split, seed=hold_seq,
             )
+            cv = calibrate_kfold(
+                data, template, config.calibration_grid,
+                k=config.k_folds, seed=cv_seq,
+            )
+            saa = template.train(data, 0.0)
+            scores = [out_of_sample_objective(x.weights, spec, market)
+                      for x in (hold.decision, cv.decision, saa)]
+            cal_rows.append((r, N, hold.radius, cv.radius, *scores))
+
+    # columns 3, 4, 5: certificate, out-of-sample objective, covers
+    summary_rows = _per_radius(
+        curve_rows, config.n_curve, config.epsilons,
+        lambda c: (c[4].mean(), *np.quantile(c[4], [0.2, 0.8]), c[3].mean(), c[5].mean()),
+    )
     radii_rows = []
     for N in config.n_calibration:
         sel = [row for row in cal_rows if row[1] == N]
         cols = np.array([[row[2], row[3], row[4], row[5], row[6]] for row in sel])
         radii_rows.append((N, *[float(v) for v in cols.mean(axis=0)]))
 
-    manifest = {
-        "study": "portfolio",
-        "master_seed": config.master_seed,
-        "seed_scheme": "SeedSequence spawn: run -> arm -> (data, holdout, cv)",
-        "runs": config.runs,
-        "n_curve": list(config.n_curve),
-        "n_calibration": list(config.n_calibration),
-        "epsilons": list(map(float, config.epsilons)),
-        "calibration_grid": list(map(float, config.calibration_grid)),
-        "k_folds": config.k_folds,
-        "holdout_split": config.holdout_split,
-        "market": {
-            "m": market.m,
-            "systematic_scale": market.systematic_scale,
-            "idio_mean_step": market.idio_mean_step,
-            "idio_scale_step": market.idio_scale_step,
-            "scale_interpretation": market.scale_interpretation,
-        },
-        "portfolio": {
-            "rho": spec.rho,
-            "alpha": spec.alpha,
-            "ground_norm": spec.ground_norm.value,
-            "support": "free" if spec.support is None else "polytope",
-        },
-        "quantile_estimator": "numpy linear interpolation",
-        "versions": _versions(),
-    }
+    manifest = _manifest(
+        config, "portfolio", ("holdout", "cv"),
+        n_curve=list(config.n_curve),
+        n_calibration=list(config.n_calibration),
+        calibration_grid=list(map(float, config.calibration_grid)),
+        holdout_split=config.holdout_split,
+        quantile_estimator="numpy linear interpolation",
+    )
     tables = {
         "fig4_oos": (
             ["run", "n_samples", "epsilon", "certificate", "oos_objective",
@@ -804,80 +810,58 @@ def run_uq_study(config: UqStudyConfig) -> StudyReport:
     spec, market = config.portfolio, config.market
     template = PortfolioDecisionProblem(spec)
     assets = list(range(market.m - config.risky_assets, market.m))
-    run_seqs = np.random.SeedSequence(config.master_seed).spawn(config.runs)
     curve_rows, cal_rows = [], []
-    for r in range(config.runs):
-        arm_seqs = run_seqs[r].spawn(len(config.n_values))
-        for a, N in enumerate(config.n_values):
-            data_seq, cv_seq, uq_seq = arm_seqs[a].spawn(3)
-            data = market.sample(N, np.random.default_rng(data_seq))
-            cv = calibrate_kfold(
-                data, template, config.portfolio_grid, k=config.k_folds, seed=cv_seq
-            )
-            weights = cv.decision.weights
-            region = outperformance_region(weights, assets)
-            G, mu, cov = region.C, market.mean(), market.covariance()
-            p_true = gaussian_orthant_upper(-G @ mu, G @ cov @ G.T)
-            bounds = fast_uq_bounds(region, spec.ground_norm)
-            j_plus, j_minus = bounds
-            for eps in config.epsilons:
-                hi = j_plus(data, eps)
-                lo = j_minus(data, eps)
-                covered = int(lo <= p_true <= hi)
-                curve_rows.append(
-                    (r, N, float(eps), lo, hi, p_true, covered)
-                )
-            cal = calibrate_uq_kfold(
-                data,
-                region,
-                config.uq_grid,
-                k=config.k_folds,
-                seed=uq_seq,
-                bound_fns=bounds,
-            )
-            hi_b, lo_b = cal.bounds
-            cal_rows.append(
-                (
-                    r, N,
-                    hi_b.radius, lo_b.radius,
-                    hi_b.value, lo_b.value,
-                    p_true,
-                    int(lo_b.value <= p_true <= hi_b.value),
-                )
-            )
-
-    summary_rows = []
-    for N in config.n_values:
+    for r, N, data, (cv_seq, uq_seq) in _arms(config, config.n_values):
+        cv = calibrate_kfold(
+            data, template, config.portfolio_grid, k=config.k_folds, seed=cv_seq
+        )
+        region = outperformance_region(cv.decision.weights, assets)
+        G, mu, cov = region.C, market.mean(), market.covariance()
+        p_true = gaussian_orthant_upper(-G @ mu, G @ cov @ G.T)
+        bounds = fast_uq_bounds(region, spec.ground_norm)
+        j_plus, j_minus = bounds
         for eps in config.epsilons:
-            sel = [row for row in curve_rows if row[1] == N and row[2] == float(eps)]
-            lo = np.array([row[3] for row in sel])
-            hi = np.array([row[4] for row in sel])
-            gap_hi = np.array([row[4] - row[5] for row in sel])
-            gap_lo = np.array([row[3] - row[5] for row in sel])
-            summary_rows.append(
-                (
-                    N, float(eps),
-                    float(lo.mean()), float(hi.mean()),
-                    float(np.quantile(gap_lo, 0.2)), float(np.quantile(gap_lo, 0.8)),
-                    float(np.quantile(gap_hi, 0.2)), float(np.quantile(gap_hi, 0.8)),
-                    float(np.mean([row[6] for row in sel])),
-                )
+            hi = j_plus(data, eps)
+            lo = j_minus(data, eps)
+            curve_rows.append(
+                (r, N, float(eps), lo, hi, p_true, int(lo <= p_true <= hi))
             )
+        cal = calibrate_uq_kfold(
+            data,
+            region,
+            config.uq_grid,
+            k=config.k_folds,
+            seed=uq_seq,
+            bound_fns=bounds,
+        )
+        hi_b, lo_b = cal.bounds
+        cal_rows.append(
+            (
+                r, N,
+                hi_b.radius, lo_b.radius,
+                hi_b.value, lo_b.value,
+                p_true,
+                int(lo_b.value <= p_true <= hi_b.value),
+            )
+        )
 
-    manifest = {
-        "study": "uq",
-        "master_seed": config.master_seed,
-        "seed_scheme": "SeedSequence spawn: run -> arm -> (data, cv, uq)",
-        "runs": config.runs,
-        "n_values": list(config.n_values),
-        "epsilons": list(map(float, config.epsilons)),
-        "portfolio_grid": list(map(float, config.portfolio_grid)),
-        "uq_grid": list(map(float, config.uq_grid)),
-        "k_folds": config.k_folds,
-        "risky_assets": config.risky_assets,
-        "orthant_oracle_tol": ORTHANT_TOL,
-        "versions": _versions(),
-    }
+    # columns 3, 4, 5, 6: lower bound, upper bound, true probability, covers
+    summary_rows = _per_radius(
+        curve_rows, config.n_values, config.epsilons,
+        lambda c: (c[3].mean(), c[4].mean(),
+                   *np.quantile(c[3] - c[5], [0.2, 0.8]),
+                   *np.quantile(c[4] - c[5], [0.2, 0.8]),
+                   c[6].mean()),
+    )
+
+    manifest = _manifest(
+        config, "uq", ("cv", "uq"),
+        n_values=list(config.n_values),
+        portfolio_grid=list(map(float, config.portfolio_grid)),
+        uq_grid=list(map(float, config.uq_grid)),
+        risky_assets=config.risky_assets,
+        orthant_oracle_tol=ORTHANT_TOL,
+    )
     tables = {
         "fig10_uq_curves": (
             ["run", "n_samples", "epsilon", "lower_bound", "upper_bound",

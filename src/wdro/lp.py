@@ -252,31 +252,20 @@ class LpBuilder:
         """Rows enforcing ||v||_norm <= bound for the affine vector v whose
         component j is ``exprs[j]`` (a {var: coeff} mapping plus constant).
 
-        For the max-norm this is the row pair v_j <= bound, -v_j <= bound
-        per component.  For the 1-norm one auxiliary variable per component
-        carries |v_j| and a single row sums them.  Callers enforcing a
-        dual-norm constraint pass the dual norm.
+        Each component gets the row pair v_j <= u_j, -v_j <= u_j.  For the
+        max-norm u_j is ``bound``; for the 1-norm it is an auxiliary
+        variable carrying |v_j|, and a single row sums them.  Callers
+        enforcing a dual-norm constraint pass the dual norm.
         """
-        if norm.value == "linf":
-            for terms, const in exprs:
-                row = dict(terms)
-                row[bound] = row.get(bound, 0.0) - 1.0
-                self.add_le(row, -const)
-                row = {v: -t for v, t in terms.items()}
-                row[bound] = row.get(bound, 0.0) - 1.0
-                self.add_le(row, const)
-        else:
-            aux = self.vars(f"abs{tag}", len(exprs), lb=0.0)
-            for (terms, const), u in zip(exprs, aux):
-                row = dict(terms)
+        l1 = norm.value != "linf"
+        bounds = self.vars(f"abs{tag}", len(exprs), lb=0.0) if l1 else [bound] * len(exprs)
+        for (terms, const), u in zip(exprs, bounds):
+            for sign in (1.0, -1.0):
+                row = {v: sign * t for v, t in terms.items()}
                 row[u] = row.get(u, 0.0) - 1.0
-                self.add_le(row, -const)
-                row = {v: -t for v, t in terms.items()}
-                row[u] = row.get(u, 0.0) - 1.0
-                self.add_le(row, const)
-            total = {u: 1.0 for u in aux}
-            total[bound] = total.get(bound, 0.0) - 1.0
-            self.add_le(total, 0.0)
+                self.add_le(row, -sign * const)
+        if l1:
+            self.add_le({u: 1.0 for u in bounds} | {bound: -1.0}, 0.0)
 
     def build(self) -> LinearProgram:
         n, m = len(self._names), len(self._rows)

@@ -489,14 +489,31 @@ LOOSE_INPUTS = [
                    "region": {"C": [[1.0]], "d": [True]}}, "config.region.d"),
 ]
 
+# inputs checked only after the work, or not at all, before output paths
+# and the portfolio's asset count were read up front; spec.json is the
+# spec file itself
+LATE_INPUTS = [
+    ("calibrate", {"method": "kfold", "market": {"m": 2}, "portfolio": {"m": 3}},
+     "config.portfolio.m"),
+    ("solve --out nodir/x.json", hinge_spec(), "--out"),
+    ("solve --dump-lp nodir/x.lp", hinge_spec(), "--dump-lp"),
+    ("worstcase --out nodir/x.json", hinge_spec(), "--out"),
+    ("calibrate --out nodir/x.json", {"method": "kfold", "market": {}}, "--out"),
+    ("experiment --out spec.json", {"study": "uq"}, "--out"),
+    ("experiment --out spec.json/sub", {"study": "uq"}, "--out"),
+    ("experiment", {"study": "uq", "out_dir": "spec.json"}, "config.out_dir"),
+    ("experiment --full-scale", {"study": "uq", "out_dir": "x"}, "--full-scale"),
+]
+
 
 @pytest.mark.parametrize(
     "command, config, field",
-    MALFORMED_NUMBERS + INEXACT_NUMBERS + BOOLEAN_NUMBERS + LOOSE_INPUTS,
+    MALFORMED_NUMBERS + INEXACT_NUMBERS + BOOLEAN_NUMBERS + LOOSE_INPUTS + LATE_INPUTS,
     ids=[field for _, _, field in MALFORMED_NUMBERS]
     + [f"{field}-inexact" for _, _, field in INEXACT_NUMBERS]
     + [f"{field}-bool" for _, _, field in BOOLEAN_NUMBERS]
-    + [f"{command.split()[0]}:{field}-loose" for command, _, field in LOOSE_INPUTS],
+    + [f"{command.split()[0]}:{field}-loose" for command, _, field in LOOSE_INPUTS]
+    + [f"{command.split()[0]}:{field}-late" for command, _, field in LATE_INPUTS],
 )
 def test_malformed_config_number_names_the_field(
     tmp_path, capsys, no_study, command, config, field

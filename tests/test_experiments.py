@@ -8,6 +8,9 @@ zero-mean closed forms and a one-dimensional quadrature; the fast
 probability bounds against the generic worst-/best-case programs.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -158,6 +161,13 @@ class TestJointVersusReduced:
         spec = PortfolioSpec(m=2, support=sup)
         with pytest.raises(SampleOutsideSupport):
             build_portfolio_dro(spec, np.array([[0.5, -0.5]]), 0.1)
+
+    @pytest.mark.parametrize("boxed", [False, True], ids=["free", "joint"])
+    def test_both_routes_check_the_asset_count(self, boxed):
+        box = Polytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6), 3)
+        spec = PortfolioSpec(m=3, support=box if boxed else None)
+        with pytest.raises(DimensionMismatch):
+            solve_portfolio(spec, np.zeros((4, 2)), 0.1)
 
 
 def row_by_row_free_program(spec, data, epsilon):
@@ -730,6 +740,71 @@ class TestUqStudy:
             UqStudyConfig(
                 portfolio=PortfolioSpec(support=Polytope.free(10))
             ).validate()
+
+
+@pytest.mark.parametrize(
+    "make_config", [PortfolioStudyConfig, UqStudyConfig], ids=["portfolio", "uq"]
+)
+@pytest.mark.parametrize(
+    "fields",
+    [{"runs": 0}, {"epsilons": ()}, {"epsilons": (-0.5, 0.0)},
+     {"epsilons": (0.0, np.nan)}, {"epsilons": (np.inf,)},
+     {"market": MarketModel(m=3)}],
+    ids=["no-runs", "no-radii", "negative-radius", "nan-radius", "inf-radius",
+         "m-mismatch"],
+)
+def test_both_study_configs_check_their_shared_fields(make_config, fields):
+    with pytest.raises(DimensionMismatch):
+        make_config(**fields).validate()
+
+
+def config_from_manifest(make_config, manifest):
+    """A study config rebuilt from its manifest alone; every config field
+    must be recorded there."""
+    market = MarketModel(**manifest["market"])
+    spec = manifest["portfolio"]
+    assert spec["support"] == "free"
+    portfolio = PortfolioSpec(
+        m=market.m, rho=spec["rho"], alpha=spec["alpha"],
+        ground_norm=GroundNorm(spec["ground_norm"]),
+    )
+    names = {f.name for f in dataclasses.fields(make_config)} - {"market", "portfolio"}
+    assert names <= set(manifest)
+    fields = {
+        name: tuple(manifest[name]) if isinstance(manifest[name], list) else manifest[name]
+        for name in names
+    }
+    return make_config(**fields, market=market, portfolio=portfolio)
+
+
+REPLAY_MARKET = MarketModel(m=4, systematic_scale=0.03)
+
+
+@pytest.mark.parametrize(
+    "run, config",
+    [
+        (run_portfolio_study, PortfolioStudyConfig(
+            runs=2, n_curve=(15,), n_calibration=(15, 20), epsilons=(0.0, 0.1),
+            calibration_grid=(0.01, 0.1), k_folds=3, master_seed=7,
+            market=REPLAY_MARKET, portfolio=PortfolioSpec(m=4, rho=5.0),
+        )),
+        (run_uq_study, UqStudyConfig(
+            runs=2, n_values=(15, 20), epsilons=(0.0, 0.1),
+            portfolio_grid=(0.01, 0.1), uq_grid=(0.001, 0.01), k_folds=3,
+            risky_assets=2, master_seed=8, market=REPLAY_MARKET,
+            portfolio=PortfolioSpec(m=4, alpha=0.3, ground_norm=GroundNorm.LINF),
+        )),
+    ],
+    ids=["portfolio", "uq"],
+)
+def test_manifest_alone_replays_the_study(tmp_path, run, config):
+    first = run(config).write(tmp_path / "first")
+    manifest = json.loads(first["manifest"].read_text())
+    replayed = config_from_manifest(type(config), manifest)
+    assert replayed == config
+    second = run(replayed).write(tmp_path / "second")
+    for stem, path in first.items():
+        assert path.read_bytes() == second[stem].read_bytes(), stem
 
 
 class TestBracketCoverage:
