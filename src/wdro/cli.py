@@ -32,6 +32,7 @@ from .calibrate import (
     calibrate_uq_kfold,
 )
 from .errors import (
+    EmptySupport,
     GridEmpty,
     NormUnsupported,
     SpecFileError,
@@ -301,6 +302,8 @@ def parse_problem_spec(doc: dict) -> DroProblem:
     loss = _parse_loss(doc["loss"], dim, "spec.loss")
     try:
         return DroProblem(samples, support, radius, norm, loss)
+    except EmptySupport:
+        raise
     except WdroError as exc:
         raise SpecFileError(str(exc), field="spec") from None
 

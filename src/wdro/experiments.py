@@ -344,6 +344,8 @@ def empirical_cvar(losses: np.ndarray, alpha: float) -> float:
     L = np.asarray(losses, dtype=float).reshape(-1)
     if L.size == 0:
         raise DimensionMismatch("need at least one loss value")
+    if not (0.0 < alpha <= 1.0):
+        raise DimensionMismatch("CVaR level alpha must lie in (0, 1]")
     D = np.sort(L)[::-1]
     idx = np.arange(D.size)
     prefix = np.concatenate([[0.0], np.cumsum(D)[:-1]])  # sum of strictly larger losses
@@ -663,7 +665,7 @@ class UqStudyConfig:
         _check_shared(self)
         if not (1 <= self.risky_assets <= self.market.m):
             raise DimensionMismatch("risky asset count out of range")
-        if self.portfolio.support is not None:
+        if not self.portfolio.resolved_support().is_free:
             raise DimensionMismatch(
                 "the probability study uses unconstrained support"
             )
@@ -702,6 +704,7 @@ def _manifest(config, study: str, purposes, **fields) -> dict:
     from . import __version__
 
     spec = config.portfolio
+    support = spec.resolved_support()
     return {
         "study": study,
         "master_seed": config.master_seed,
@@ -714,7 +717,8 @@ def _manifest(config, study: str, purposes, **fields) -> dict:
             "rho": spec.rho,
             "alpha": spec.alpha,
             "ground_norm": spec.ground_norm.value,
-            "support": "free" if spec.support is None else "polytope",
+            "support": "free" if support.is_free
+            else {"C": support.C.tolist(), "d": support.d.tolist()},
         },
         "versions": {
             "python": sys.version.split()[0],

@@ -233,14 +233,44 @@ class SeparableLoss:
 Loss = PiecewiseAffineLoss | EventIndicator | TwoStageLoss | SeparableLoss
 
 
+def _admit(X: np.ndarray, support: Polytope, cols: slice, norm: GroundNorm) -> np.ndarray:
+    """``X`` with its columns ``cols`` in ``support``, projecting rows that
+    violate it by at most ``MEMBERSHIP_TOL``; called from
+    ``DroProblem.__post_init__``, so the warning names the caller's line."""
+    viol = support.violation(X[:, cols])
+    worst = float(viol.max())
+    if worst <= 1e-12:
+        return X
+    if worst > MEMBERSHIP_TOL:
+        if not support.nonempty():
+            raise EmptySupport("support polytope is empty")
+        raise SampleOutsideSupport(
+            f"sample violates the support by {worst:.3e}, "
+            f"tolerance is {MEMBERSHIP_TOL:.3e}"
+        )
+    outside = np.flatnonzero(viol > 1e-12)
+    X = X.copy()
+    for i in outside:
+        _, X[i, cols] = nearest_point(support, X[i, cols], norm)
+    warnings.warn(
+        f"projected {outside.size} sample(s) onto the support "
+        f"(worst violation {worst:.3e})",
+        stacklevel=4,
+    )
+    return X
+
+
 @dataclass(frozen=True)
 class DroProblem:
     """Samples, support, ball radius and ground norm plus a loss.
 
-    Samples violating the support by at most ``MEMBERSHIP_TOL`` are
-    projected onto it (with a warning); larger violations raise
-    SampleOutsideSupport.  For separable losses the support is the product
-    of the per-stage supports and ``support`` must be the free space.
+    Every sample lies in the support, so the support is nonempty and the
+    builders do not check it again.  A sample violating the support by at
+    most ``MEMBERSHIP_TOL`` is projected onto it (with a warning); a larger
+    violation raises SampleOutsideSupport, or EmptySupport when the
+    support is empty.  For separable losses the support is the product of
+    the per-stage supports, each applied to its stage's coordinates, and
+    ``support`` must be the free space.
     """
 
     samples: np.ndarray
@@ -264,47 +294,16 @@ class DroProblem:
             loss_dim = self.loss.region.dim
         if loss_dim != X.shape[1]:
             raise DimensionMismatch("loss dimension does not match samples")
-        if isinstance(self.loss, SeparableLoss) and not self.support.is_free:
-            raise DimensionMismatch(
-                "separable losses carry per-stage supports; use a free overall support"
-            )
-
+        blocks = [(self.support, slice(None))]
         if isinstance(self.loss, SeparableLoss):
-            X = self._enforce_membership_separable(X)
-        else:
-            X = self._enforce_membership(X, self.support)
+            if not self.support.is_free:
+                raise DimensionMismatch(
+                    "separable losses carry per-stage supports; use a free overall support"
+                )
+            blocks = zip((s for _, s in self.loss.stages), self.loss.stage_slices())
+        for support, cols in blocks:
+            X = _admit(X, support, cols, self.norm)
         object.__setattr__(self, "samples", X)
-
-    def _enforce_membership(self, X: np.ndarray, support: Polytope) -> np.ndarray:
-        if support.is_free:
-            return X
-        viol = support.violation(X)
-        worst = float(viol.max())
-        if worst <= 1e-12:
-            return X
-        if worst > MEMBERSHIP_TOL:
-            raise SampleOutsideSupport(
-                f"sample violates the support by {worst:.3e}, "
-                f"tolerance is {MEMBERSHIP_TOL:.3e}"
-            )
-        if not support.nonempty():
-            raise EmptySupport("support polytope is empty")
-        X = X.copy()
-        for i in np.flatnonzero(viol > 1e-12):
-            _, X[i] = nearest_point(support, X[i], self.norm)
-        warnings.warn(
-            f"projected {int(np.sum(viol > 1e-12))} sample(s) onto the support "
-            f"(worst violation {worst:.3e})",
-            stacklevel=3,
-        )
-        return X
-
-    def _enforce_membership_separable(self, X: np.ndarray) -> np.ndarray:
-        loss: SeparableLoss = self.loss
-        X = X.copy()
-        for (stage_loss, stage_support), sl in zip(loss.stages, loss.stage_slices()):
-            X[:, sl] = self._enforce_membership(X[:, sl], stage_support)
-        return X
 
     @property
     def n_samples(self) -> int:
@@ -313,11 +312,6 @@ class DroProblem:
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-
-def _check_support_nonempty(support: Polytope) -> None:
-    if not support.is_free and not support.nonempty():
-        raise EmptySupport("support polytope is empty")
 
 
 def _combination(vs, M: np.ndarray):
@@ -426,7 +420,6 @@ def build_max_affine(p: DroProblem) -> LinearProgram:
     """
     if not isinstance(p.loss, PiecewiseAffineLoss) or p.loss.kind != "max":
         raise DimensionMismatch("build_max_affine expects a max-affine loss")
-    _check_support_nonempty(p.support)
     a = _Assembler(p.radius, p.norm)
     _max_affine_blocks(a, a.epigraph(p.n_samples), p.loss, p.support, p.samples)
     return a.build()
@@ -439,7 +432,6 @@ def build_min_affine(p: DroProblem) -> LinearProgram:
     rows of the max-affine case."""
     if not isinstance(p.loss, PiecewiseAffineLoss) or p.loss.kind != "min":
         raise DimensionMismatch("build_min_affine expects a min-affine loss")
-    _check_support_nonempty(p.support)
     loss = p.loss.deduplicated()
     K = loss.n_pieces
     a = _Assembler(p.radius, p.norm)
@@ -472,7 +464,6 @@ def build_uq_worst(p: DroProblem) -> LinearProgram:
     """
     if not isinstance(p.loss, EventIndicator) or p.loss.sense != "outside":
         raise DimensionMismatch("build_uq_worst expects an outside-event loss")
-    _check_support_nonempty(p.support)
     region = p.loss.region
     A, bv = region.C, region.d
 
@@ -499,7 +490,6 @@ def build_uq_best(p: DroProblem) -> LinearProgram:
     Requires the region to meet the support."""
     if not isinstance(p.loss, EventIndicator) or p.loss.sense != "inside":
         raise DimensionMismatch("build_uq_best expects an inside-event loss")
-    _check_support_nonempty(p.support)
     region = p.loss.region
     A, bv = region.C, region.d
 
@@ -539,12 +529,11 @@ def build_two_stage(p: DroProblem) -> LinearProgram:
 
     Objective-side uncertainty keeps one recourse copy per sample inside
     the program.  Right-hand-side uncertainty enumerates the vertices of
-    the dual feasible set and reduces to the max-affine builder over the
+    the dual feasible set and writes the max-affine program of the
     induced pieces <H'v_k, x> + <v_k, h>.
     """
     if not isinstance(p.loss, TwoStageLoss):
         raise DimensionMismatch("build_two_stage expects a two-stage loss")
-    _check_support_nonempty(p.support)
     loss = p.loss
 
     if loss.variant == "rhs":
@@ -558,14 +547,9 @@ def build_two_stage(p: DroProblem) -> LinearProgram:
                 "so the recourse loss is not finite-valued"
             )
         pieces = PiecewiseAffineLoss(verts @ loss.H, verts @ loss.h, "max")
-        flat = DroProblem(
-            samples=p.samples,
-            support=p.support,
-            radius=p.radius,
-            norm=p.norm,
-            loss=pieces,
-        )
-        return build_max_affine(flat)
+        a = _Assembler(p.radius, p.norm)
+        _max_affine_blocks(a, a.epigraph(p.n_samples), pieces, p.support, p.samples)
+        return a.build()
 
     _recourse_bounded(loss.W, loss.h)
     Q, W, h = loss.Q, loss.W, loss.h
@@ -589,7 +573,6 @@ def build_separable(p: DroProblem) -> LinearProgram:
     sep = p.loss
     a = _Assembler(p.radius, p.norm)
     for t, ((loss, support), sl) in enumerate(zip(sep.stages, sep.stage_slices())):
-        _check_support_nonempty(support)
         s = a.epigraph(p.n_samples, f"s[{t}]")
         _max_affine_blocks(a, s, loss, support, p.samples[:, sl], f"{t},")
     return a.build()

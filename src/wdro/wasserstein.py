@@ -45,8 +45,8 @@ class DiscreteDistribution:
             raise DimensionMismatch("a distribution needs at least one atom")
         if not np.all(np.isfinite(pts)):
             raise DimensionMismatch("atom coordinates must be finite")
-        if np.any(w < -1e-12):
-            raise DimensionMismatch("weights must be nonnegative")
+        if not np.all(np.isfinite(w)) or np.any(w < -1e-12):
+            raise DimensionMismatch("weights must be finite and nonnegative")
         w = np.clip(w, 0.0, None)
         total = w.sum()
         if abs(total - 1.0) > 1e-9:

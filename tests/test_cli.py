@@ -143,6 +143,35 @@ class TestSolve:
         }
         assert main(["solve", "--spec", write_spec(tmp_path, doc)]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "worstcase"])
+    @pytest.mark.parametrize(
+        "support, sample, separable",
+        [({"C": [[1.0], [-1.0]], "d": [0.0, -1.0]}, 0.5, False),
+         ({"C": [[1.0], [-1.0]], "d": [0.0, -1e-7]}, 0.0, False),
+         ({"C": [[1.0], [-1.0]], "d": [0.0, -1.0]}, 0.5, True)],
+        ids=["sample-far-outside", "sample-within-tolerance", "separable-stage"],
+    )
+    def test_empty_support_exits_two(
+        self, tmp_path, capsys, command, support, sample, separable
+    ):
+        doc = box_spec()
+        doc["support"], doc["samples"] = support, [[sample]]
+        if separable:
+            stage = {"slopes": [[1.0]], "intercepts": [0.0]}
+            doc["support"], doc["samples"] = "free", [[sample, 0.0]]
+            doc["loss"] = {"type": "separable",
+                           "stages": [{**stage, "support": support}, stage]}
+        assert main([command, "--spec", write_spec(tmp_path, doc)]) == 2
+        assert "support polytope is empty" in capsys.readouterr().err
+
+    def test_sample_far_outside_a_support_exits_one_naming_the_spec(
+        self, tmp_path, capsys
+    ):
+        doc = box_spec()
+        doc["samples"] = [[1.5]]
+        assert main(["solve", "--spec", write_spec(tmp_path, doc)]) == 1
+        assert "(field: spec)" in capsys.readouterr().err
+
     def test_csv_samples_are_loaded(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
         csv_path.write_text("xi\n-0.5\n0.5\n")

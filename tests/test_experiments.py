@@ -262,6 +262,11 @@ class TestEmpiricalCvar:
         expected = L.mean() + 2.0 * empirical_cvar(L, 0.5)
         assert portfolio_empirical_objective(spec, w, X) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.0])
+    def test_level_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(DimensionMismatch):
+            empirical_cvar(np.array([3.0, -1.0]), alpha)
+
 
 class TestOutOfSampleObjective:
     def test_matches_monte_carlo(self):
@@ -738,8 +743,20 @@ class TestUqStudy:
             UqStudyConfig(risky_assets=0).validate()
         with pytest.raises(DimensionMismatch):
             UqStudyConfig(
-                portfolio=PortfolioSpec(support=Polytope.free(10))
+                portfolio=PortfolioSpec(support=Polytope.box(-np.ones(10), np.ones(10)))
             ).validate()
+
+
+def test_explicit_free_support_is_free_support():
+    spec = PortfolioSpec(m=4, support=Polytope.free(4))
+    market = MarketModel(m=4)
+    for config, purposes in (
+        (PortfolioStudyConfig(market=market, portfolio=spec), ("holdout", "cv")),
+        (UqStudyConfig(market=market, portfolio=spec), ("cv", "uq")),
+    ):
+        config.validate()
+        manifest = experiments._manifest(config, "study", purposes)
+        assert manifest["portfolio"]["support"] == "free"
 
 
 @pytest.mark.parametrize(
@@ -763,9 +780,11 @@ def config_from_manifest(make_config, manifest):
     must be recorded there."""
     market = MarketModel(**manifest["market"])
     spec = manifest["portfolio"]
-    assert spec["support"] == "free"
+    support = None
+    if spec["support"] != "free":
+        support = Polytope(spec["support"]["C"], spec["support"]["d"], market.m)
     portfolio = PortfolioSpec(
-        m=market.m, rho=spec["rho"], alpha=spec["alpha"],
+        m=market.m, rho=spec["rho"], alpha=spec["alpha"], support=support,
         ground_norm=GroundNorm(spec["ground_norm"]),
     )
     names = {f.name for f in dataclasses.fields(make_config)} - {"market", "portfolio"}
@@ -778,6 +797,7 @@ def config_from_manifest(make_config, manifest):
 
 
 REPLAY_MARKET = MarketModel(m=4, systematic_scale=0.03)
+BOX3 = Polytope.box(-np.ones(3), np.ones(3))
 
 
 @pytest.mark.parametrize(
@@ -794,13 +814,27 @@ REPLAY_MARKET = MarketModel(m=4, systematic_scale=0.03)
             risky_assets=2, master_seed=8, market=REPLAY_MARKET,
             portfolio=PortfolioSpec(m=4, alpha=0.3, ground_norm=GroundNorm.LINF),
         )),
+        (run_portfolio_study, PortfolioStudyConfig(
+            runs=1, n_curve=(12,), n_calibration=(12,), epsilons=(0.0, 0.1),
+            calibration_grid=(0.01, 0.1), k_folds=3, master_seed=9,
+            market=MarketModel(m=3), portfolio=PortfolioSpec(m=3, support=BOX3),
+        )),
     ],
-    ids=["portfolio", "uq"],
+    ids=["portfolio", "uq", "portfolio-box"],
 )
 def test_manifest_alone_replays_the_study(tmp_path, run, config):
     first = run(config).write(tmp_path / "first")
     manifest = json.loads(first["manifest"].read_text())
     replayed = config_from_manifest(type(config), manifest)
+    support = config.portfolio.support
+    if support is not None:
+        # a Polytope's array fields make the generated __eq__ raise
+        rebuilt = replayed.portfolio.support
+        assert np.array_equal(rebuilt.C, support.C)
+        assert np.array_equal(rebuilt.d, support.d)
+        replayed = dataclasses.replace(
+            replayed, portfolio=dataclasses.replace(replayed.portfolio, support=support)
+        )
     assert replayed == config
     second = run(replayed).write(tmp_path / "second")
     for stem, path in first.items():

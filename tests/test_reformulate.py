@@ -35,7 +35,6 @@ from wdro.reformulate import (
     build_uq_best,
     build_uq_worst,
     convex_closed_form,
-    worst_case_value,
 )
 from wdro.simplex import solve_lp
 
@@ -183,10 +182,53 @@ class TestProblemValidation:
 
     def test_empty_support(self):
         empty = Polytope([[1.0], [-1.0]], [0.0, -1.0], 1)
-        with pytest.raises((EmptySupport, SampleOutsideSupport)):
-            worst_case_value(
-                DroProblem(np.array([[0.5]]), empty, 0.1, L1, self.LOSS)
-            )
+        with pytest.raises(EmptySupport):
+            DroProblem(np.array([[0.5]]), empty, 0.1, L1, self.LOSS)
+
+    def test_projection_warning_names_the_callers_line(self):
+        box = Polytope.box([-1.0], [1.0])
+        sep = SeparableLoss(((self.LOSS, Polytope.free(1)), (self.LOSS, box)))
+        for support, loss, sample in (
+            (box, self.LOSS, [[1.0 + 5e-7]]),
+            (Polytope.free(2), sep, [[0.0, 1.0 + 5e-7]]),
+        ):
+            with pytest.warns(UserWarning, match="projected") as record:
+                DroProblem(np.array(sample), support, 0.1, L1, loss)
+            assert [w.filename for w in record] == [__file__]
+
+
+def test_builders_do_not_recheck_the_support(monkeypatch):
+    # admission proves the support nonempty; only build_uq_best asks a
+    # polytope question of its own (does the region meet the support?)
+    box = Polytope.box([-2.0, -2.0], [2.0, 2.0])
+    region = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+    X = np.array([[0.0, 0.5], [-0.5, 1.5]])
+    pieces = PiecewiseAffineLoss([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.5])
+    W = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+    cases = [
+        (build_max_affine, box, pieces),
+        (build_min_affine, box, PiecewiseAffineLoss(pieces.slopes, pieces.intercepts, "min")),
+        (build_uq_worst, box, EventIndicator(region, "outside")),
+        (build_uq_best, box, EventIndicator(region, "inside")),
+        (build_two_stage, box,
+         TwoStageLoss("objective", W=W, h=[-1.0, -1.0, -3.0], Q=np.eye(2))),
+        (build_two_stage, box,
+         TwoStageLoss("rhs", W=np.abs(W), h=[-1.0, -1.0, 0.5], q=[1.0, 2.0],
+                      H=np.eye(3, 2))),
+        (build_separable, Polytope.free(2), SeparableLoss(
+            ((PiecewiseAffineLoss([[1.0]], [0.0]), Polytope.box([-2.0], [2.0])),) * 2
+        )),
+    ]
+    calls = []
+    nonempty = Polytope.nonempty
+    monkeypatch.setattr(
+        Polytope, "nonempty", lambda self: calls.append(1) or nonempty(self)
+    )
+    for build, support, loss in cases:
+        p = DroProblem(X, support, 0.3, L1, loss)
+        calls.clear()
+        build(p)
+        assert len(calls) == (build is build_uq_best), build.__name__
 
 
 class TestSampleAverageAnchor:

@@ -68,6 +68,8 @@ class TestDiscreteDistribution:
             DiscreteDistribution(np.zeros((2, 1)), np.array([0.3, 0.3]))
         with pytest.raises(DimensionMismatch):
             DiscreteDistribution(np.zeros((2, 1)), np.array([1.5, -0.5]))
+        with pytest.raises(DimensionMismatch):
+            DiscreteDistribution(np.zeros((2, 1)), np.array([np.nan, 1.0]))
 
     def test_merge_atoms(self):
         d = DiscreteDistribution(
