@@ -245,11 +245,7 @@ def calibrate_kfold(
 def empirical_frequency(samples: np.ndarray, region: Polytope) -> float:
     """Fraction of samples in the closed region {Gx <= g}, within
     ``FREQUENCY_TOL``."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if region.n_rows == 0:
-        return 1.0
-    inside = (samples @ region.C.T <= region.d + FREQUENCY_TOL).all(axis=1)
-    return float(inside.mean())
+    return float(np.mean(region.violation(samples) <= FREQUENCY_TOL))
 
 
 def _covers(side: str, value: float, freq: float) -> bool:
@@ -282,6 +278,8 @@ def calibrate_uq_kfold(
     are the upper side's.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
+    if safe_set.dim != data.shape[1]:
+        raise DimensionMismatch("region dimension does not match data columns")
     grid = _clean_grid(grid)
     partition, folds = _folds(data, k, seed)
     j_plus, j_minus = bound_fns

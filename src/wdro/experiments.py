@@ -86,6 +86,9 @@ class MarketModel:
     def __post_init__(self):
         if self.m < 1:
             raise DimensionMismatch("need at least one asset")
+        steps = (self.systematic_scale, self.idio_mean_step, self.idio_scale_step)
+        if not np.all(np.isfinite(steps)):
+            raise DimensionMismatch("scales and mean step must be finite")
         if self.systematic_scale <= 0 or self.idio_scale_step <= 0:
             raise DimensionMismatch("scales must be positive")
         if self.scale_interpretation not in ("std", "variance"):
@@ -130,10 +133,12 @@ class PortfolioSpec:
     ground_norm: GroundNorm = GroundNorm.L1
 
     def __post_init__(self):
+        if self.m < 1:
+            raise DimensionMismatch("need at least one asset")
         if not (0.0 < self.alpha <= 1.0):
             raise DimensionMismatch("CVaR level alpha must lie in (0, 1]")
-        if self.rho < 0.0:
-            raise DimensionMismatch("risk aversion rho must be nonnegative")
+        if not (np.isfinite(self.rho) and self.rho >= 0.0):
+            raise DimensionMismatch("risk aversion rho must be finite and nonnegative")
         if self.support is not None and self.support.dim != self.m:
             raise DimensionMismatch("support dimension does not match asset count")
 
@@ -158,6 +163,21 @@ class PortfolioResult:
     basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
+def _admit_portfolio(spec: PortfolioSpec, data, epsilon: float) -> np.ndarray:
+    """The samples as an (N, m) array, once checked: at least one sample,
+    finite, ``spec.m`` assets, and a finite, nonnegative radius."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if data.shape[1] != spec.m:
+        raise DimensionMismatch("data dimension does not match asset count")
+    if data.shape[0] == 0:
+        raise DimensionMismatch("need at least one sample")
+    if not np.all(np.isfinite(data)):
+        raise DimensionMismatch("samples must be finite")
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise DimensionMismatch("radius must be finite and nonnegative")
+    return data
+
+
 def build_portfolio_dro(
     spec: PortfolioSpec, data: np.ndarray, epsilon: float
 ) -> LinearProgram:
@@ -165,10 +185,8 @@ def build_portfolio_dro(
     b_k tau + a_k <x, xi_i> + <gamma_ik, d - C xi_i> <= s_i with dual-norm
     rows ||C'gamma_ik - a_k x||_* <= lam and the simplex constraint on x.
     The weights occupy the first m coordinates of the optimizer."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _admit_portfolio(spec, data, epsilon)
     N, m = data.shape
-    if m != spec.m:
-        raise DimensionMismatch("data dimension does not match asset count")
     support = spec.resolved_support()
     worst = float(np.max(support.violation(data)))
     if worst > 1e-9:
@@ -329,10 +347,8 @@ def solve_portfolio(
     data, or one mapped onto this data's program (as
     :class:`PortfolioDecisionProblem` does on the free support); the
     solve starts from it (see :func:`wdro.simplex.solve_lp`)."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.shape[1] != spec.m:
-        raise DimensionMismatch("data dimension does not match asset count")
     if spec.resolved_support().is_free:
+        data = _admit_portfolio(spec, data, epsilon)
         return _solve_portfolio_free(spec, data, epsilon, warm)
     return _portfolio_result(build_portfolio_dro(spec, data, epsilon), spec.m, warm)
 
@@ -400,7 +416,8 @@ class PortfolioDecisionProblem:
         self._by_radius: dict[float, PortfolioResult] = {}
 
     def train(self, samples, epsilon) -> PortfolioResult:
-        samples = np.atleast_2d(np.array(samples, dtype=float))
+        # admitted before a basis is mapped onto them
+        samples = _admit_portfolio(self.spec, np.array(samples, dtype=float), epsilon)
         epsilon = float(epsilon)
         same = self._samples is not None and np.array_equal(self._samples, samples)
         warm = None
@@ -494,12 +511,13 @@ def outperformance_region(weights: np.ndarray, assets) -> Polytope:
     rows (e_i - x)' xi <= 0."""
     x = np.asarray(weights, dtype=float).reshape(-1)
     m = x.size
-    rows = []
-    for i in assets:
-        e = np.zeros(m)
-        e[i] = 1.0
-        rows.append(e - x)
-    return Polytope(np.asarray(rows), np.zeros(len(rows)), m)
+    assets = list(assets)
+    if not all(
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < m
+        for i in assets
+    ):
+        raise DimensionMismatch(f"asset indices must be integers in [0, {m})")
+    return Polytope(np.eye(m)[assets] - x, np.zeros(len(assets)), m)
 
 
 def fast_uq_bounds(region: Polytope, norm: GroundNorm = GroundNorm.L1):

@@ -63,10 +63,6 @@ class ExtremalResult:
     escape_rays: tuple[EscapeRay, ...]
     objective_value: float
 
-    @property
-    def attained(self) -> bool:
-        return self.escaping_mass == 0.0
-
 
 @dataclass(frozen=True)
 class MembershipReport:

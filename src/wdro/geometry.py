@@ -36,6 +36,9 @@ __all__ = [
     "enumerate_vertices",
 ]
 
+# most column subsets enumerate_vertices will solve
+MAX_BASES = 200_000
+
 
 class GroundNorm(enum.Enum):
     """Norm used for transport cost.  ``dual`` is the norm appearing in the
@@ -109,11 +112,6 @@ class Polytope:
         eye = np.eye(dim)
         return cls(np.vstack([eye, -eye]), np.concatenate([hi, -lo]), dim)
 
-    @classmethod
-    def halfspaces(cls, C, d) -> "Polytope":
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        return cls(C, np.asarray(d, dtype=float), C.shape[1])
-
     @property
     def n_rows(self) -> int:
         return self.C.shape[0]
@@ -128,9 +126,6 @@ class Polytope:
         if self.is_free:
             return np.full(pts.shape[0], -inf)
         return np.max(pts @ self.C.T - self.d, axis=1)
-
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        return self.violation(points) <= tol
 
     def nonempty(self) -> bool:
         return self.is_free or _polytope_lp(self.C, self.d).status == "optimal"
@@ -188,16 +183,14 @@ def _reduce_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-10):
     return A_red, b_red, consistent
 
 
-def enumerate_vertices(
-    A_eq: np.ndarray, b_eq: np.ndarray, max_bases: int = 200_000
-) -> np.ndarray:
+def enumerate_vertices(A_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
     """All vertices of {theta >= 0 : A_eq theta = b_eq}.
 
     Vertices are basic feasible solutions; every size-rank column subset
     with a nonsingular square block is solved and filtered for
     nonnegativity, then near-duplicates (1e-9 in the max-norm) are merged.
     Raises UnboundedPolyhedron when the recession cone contains a nonzero
-    ray and TooLarge when the subset count exceeds ``max_bases``.
+    ray and TooLarge when the subset count exceeds ``MAX_BASES``.
     """
     A = np.atleast_2d(np.asarray(A_eq, dtype=float))
     b = np.asarray(b_eq, dtype=float).reshape(-1)
@@ -222,9 +215,9 @@ def enumerate_vertices(
     if r == 0:
         # Only theta >= 0 with A == 0; bounded => the set is {0} or empty.
         return np.zeros((1, n)) if np.allclose(b, 0.0) else np.zeros((0, n))
-    if comb(n, r) > max_bases:
+    if comb(n, r) > MAX_BASES:
         raise TooLarge(
-            f"vertex enumeration needs {comb(n, r)} basis checks, cap is {max_bases}"
+            f"vertex enumeration needs {comb(n, r)} basis checks, cap is {MAX_BASES}"
         )
 
     found: list[np.ndarray] = []

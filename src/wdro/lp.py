@@ -154,7 +154,9 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs for the simplex engine.
+    """The simplex engine's fixed tolerances.  ``solve_lp`` takes no
+    per-call config: every solve uses ``SolverConfig()``, and tests that
+    need other values pass one to the engine (``simplex._Engine``).
 
     feas_tol bounds acceptable primal residuals, relative to 1 + |bound|
     for a variable and 1 + |rhs| for a row.  opt_tol is the pricing (dual
@@ -165,8 +167,9 @@ class SolverConfig:
     check before a solution is reported optimal.  Pricing starts with the
     largest-violation rule and falls back to Bland's least-index rule after
     ``bland_after(n_vars, n_rows)`` iterations, which guarantees
-    termination on degenerate programs.  How often the basis inverse is
-    rebuilt is fixed by the engine (``simplex.REFACTOR_EVERY``).
+    termination on degenerate programs, and a solve that reaches
+    max_iterations raises ``NumericalBreakdown``.  How often the basis
+    inverse is rebuilt is fixed by the engine (``simplex.REFACTOR_EVERY``).
     """
 
     feas_tol: float = 1e-9
@@ -225,11 +228,7 @@ class LpBuilder:
         self._obj = {v.index: float(t) for v, t in terms.items()}
 
     def add_row(self, terms: Mapping[Var, float], rel: str, rhs: float) -> None:
-        row: dict[int, float] = {}
-        for v, t in terms.items():
-            if t != 0.0:
-                row[v.index] = row.get(v.index, 0.0) + float(t)
-        self._rows.append(row)
+        self._rows.append({v.index: float(t) for v, t in terms.items() if t != 0.0})
         self._rels.append(rel)
         self._rhs.append(float(rhs))
 

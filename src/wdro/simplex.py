@@ -37,7 +37,8 @@ ratio test only considers rows whose pivot exceeds
 threshold is relative because a pivot that is tiny next to the rest of its
 column wrecks the rank-1 update of the inverse.  All tie-breaking is
 deterministic, which makes repeated solves of the same program
-bit-identical.
+bit-identical.  A solve that reaches ``max_iterations`` iterations
+raises ``NumericalBreakdown``.
 
 Before a point is reported optimal it is checked once against the
 original program: primal residuals, reduced-cost signs and the primal-dual
@@ -75,7 +76,7 @@ __all__ = ["solve_lp"]
 
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
 
-_OPTIMAL, _UNBOUNDED, _ITER_LIMIT = 0, 1, 2
+_OPTIMAL, _UNBOUNDED = 0, 1
 
 # pivots between rebuilds of the basis inverse
 REFACTOR_EVERY = 100
@@ -209,7 +210,7 @@ class _Engine:
         try:
             while True:
                 if self.iterations >= cfg.max_iterations:
-                    return _ITER_LIMIT
+                    raise NumericalBreakdown("iteration limit reached")
                 self.iterations += 1
                 bland = self.iterations > self.bland_after
 
@@ -300,10 +301,7 @@ class _Engine:
             x[basis] = xb
 
     def phase_one(self) -> float:
-        outcome = self._run(self.ph1_cost)
-        if outcome == _ITER_LIMIT:
-            raise NumericalBreakdown("iteration limit reached in phase one")
-        if outcome == _UNBOUNDED:
+        if self._run(self.ph1_cost) == _UNBOUNDED:
             # The phase-one objective is bounded below by zero.
             raise NumericalBreakdown("phase one reported an unbounded direction")
         return float(self.x[self.art])
@@ -315,8 +313,8 @@ class _Engine:
         self.status[art] = _AT_LOWER
 
     def drop_artificial(self) -> None:
-        """Fix the artificial column at zero, first pivoting it out of the
-        basis if phase one left it basic (at zero)."""
+        """Fix the artificial column at zero, first swapping it out of the
+        basis if phase one left it basic (at zero), and refactor."""
         art, n, n_real = self.art, self.n_struct, self.n_struct + self.m
         self._fix_artificial()
         for r in np.flatnonzero(self.basis == art):
@@ -333,14 +331,10 @@ class _Engine:
                 raise NumericalBreakdown("the artificial column cannot leave the basis")
             self.basis[r] = jq
             self.status[jq] = _BASIC
-            self._pivot_update(r, self.ftran(jq))
         self._refactor()
 
     def phase_two(self) -> int:
-        outcome = self._run(self.cost)
-        if outcome == _ITER_LIMIT:
-            raise NumericalBreakdown("iteration limit reached in phase two")
-        return outcome
+        return self._run(self.cost)
 
     def restart(self) -> float:
         """Rebuild the inverse of the current basis and make its point
@@ -442,9 +436,7 @@ def _start_warm(eng: _Engine, warm) -> bool:
         return False
 
 
-def solve_lp(
-    lp: LinearProgram, config: SolverConfig | None = None, warm=None
-) -> LpSolution:
+def solve_lp(lp: LinearProgram, warm=None) -> LpSolution:
     """Solve a dense LP; see the module docstring for conventions.
 
     Returns an optimal basic solution with row duals and its basis, an
@@ -458,7 +450,7 @@ def solve_lp(
     the slack basis; a basis that does not fit this program is ignored.
     Either way the answer passes the same final check.
     """
-    cfg = config or SolverConfig()
+    cfg = SolverConfig()
     eng = _Engine(lp, cfg)
     if warm is None or not _start_warm(eng, warm):
         if eng.start(*eng.slack_start) > cfg.feas_tol:
@@ -471,9 +463,9 @@ def solve_lp(
                 iterations=eng.iterations,
             )
 
-    outcome = eng.phase_two()
     # Restart after a failed check; the second restart runs under Bland's rule.
     for attempt in range(3):
+        outcome = eng.phase_two()
         y = eng.raw_duals(eng.cost)
         primal = eng.x[: eng.n_struct].copy()
         if outcome == _UNBOUNDED or _certifies_optimal(lp, primal, y, cfg):
@@ -486,7 +478,6 @@ def solve_lp(
             eng.bland_after = 0
         if eng.restart() > cfg.feas_tol:
             raise NumericalBreakdown("could not restore primal feasibility")
-        outcome = eng.phase_two()
     if outcome == _UNBOUNDED:
         return LpSolution(
             status="unbounded",

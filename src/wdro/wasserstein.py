@@ -68,12 +68,6 @@ class DiscreteDistribution:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def expectation(self, values: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.points
-
 
 def merge_atoms(dist: DiscreteDistribution) -> DiscreteDistribution:
     """Collapse atoms whose coordinates agree within ``MERGE_TOL``

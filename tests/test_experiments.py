@@ -19,7 +19,7 @@ from scipy.stats import multivariate_normal, norm
 
 import wdro.experiments as experiments
 import wdro.simplex as simplex
-from wdro.calibrate import calibrate_kfold
+from wdro.calibrate import calibrate_kfold, calibrate_uq_kfold
 from wdro.errors import (
     DimensionMismatch,
     HypothesisViolated,
@@ -92,6 +92,15 @@ class TestMarketModel:
         with pytest.raises(DimensionMismatch):
             MarketModel(scale_interpretation="sd")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("systematic_scale", "idio_mean_step", "idio_scale_step")
+         for v in (np.nan, np.inf)] + [("idio_mean_step", -np.inf)],
+    )
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(DimensionMismatch):
+            MarketModel(**{field: value})
+
 
 class TestPortfolioSpec:
     def test_piece_coefficients(self):
@@ -115,6 +124,14 @@ class TestPortfolioSpec:
             PortfolioSpec(rho=-1.0)
         with pytest.raises(DimensionMismatch):
             PortfolioSpec(m=3, support=Polytope.free(2))
+
+    @pytest.mark.parametrize(
+        "fields", [{"rho": np.nan}, {"rho": np.inf}, {"m": 0}, {"m": -1}],
+        ids=["rho-nan", "rho-inf", "m-0", "m-negative"],
+    )
+    def test_rejects_non_finite_rho_and_no_assets(self, fields):
+        with pytest.raises(DimensionMismatch):
+            PortfolioSpec(**fields)
 
 
 class TestSampleAverageAnchor:
@@ -168,6 +185,36 @@ class TestJointVersusReduced:
         spec = PortfolioSpec(m=3, support=box if boxed else None)
         with pytest.raises(DimensionMismatch):
             solve_portfolio(spec, np.zeros((4, 2)), 0.1)
+
+    @pytest.mark.parametrize("boxed", [False, True], ids=["free", "joint"])
+    @pytest.mark.parametrize(
+        "data, epsilon",
+        [
+            (np.zeros((0, 2)), 0.1),
+            (np.array([[np.nan, 0.0], [0.0, 0.0]]), 0.1),
+            (np.array([[0.0, np.inf]]), 0.1),
+            (np.zeros((3, 2)), np.nan),
+            (np.zeros((3, 2)), np.inf),
+            (np.zeros((3, 2)), -1.0),
+        ],
+        ids=["no-samples", "nan-sample", "inf-sample", "nan-radius", "inf-radius",
+             "negative-radius"],
+    )
+    def test_inputs_are_admitted_before_any_solve(self, monkeypatch, boxed, data, epsilon):
+        def no_solve(lp, warm=None):
+            raise AssertionError("an LP was solved")
+
+        box = Polytope.box(-np.ones(2), np.ones(2))
+        spec = PortfolioSpec(m=2, support=box if boxed else None)
+        trained = PortfolioDecisionProblem(spec)
+        trained.train(np.array([[0.5, -0.5], [0.0, 0.25]]), 0.1)
+        monkeypatch.setattr(experiments, "solve_lp", no_solve)
+        with pytest.raises(DimensionMismatch):
+            trained.train(data, epsilon)
+        with pytest.raises(DimensionMismatch):
+            solve_portfolio(spec, data, epsilon)
+        with pytest.raises(DimensionMismatch):
+            build_portfolio_dro(spec, data, epsilon)
 
 
 def row_by_row_free_program(spec, data, epsilon):
@@ -509,8 +556,29 @@ class TestOutperformanceRegion:
         assert np.allclose(region.C, [[-0.5, -0.5, 1.0]])
         assert np.allclose(region.d, [0.0])
         # xi with portfolio return 1.0 and asset-3 return 0.5 qualifies
-        assert region.contains(np.array([1.0, 1.0, 0.5]))[0]
-        assert not region.contains(np.array([0.0, 0.0, 0.5]))[0]
+        assert region.violation(np.array([1.0, 1.0, 0.5]))[0] <= 0.0
+        assert region.violation(np.array([0.0, 0.0, 0.5]))[0] > 0.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: outperformance_region(np.ones(3) / 3, [5]),
+            lambda: outperformance_region(np.ones(3) / 3, [-1]),
+            lambda: outperformance_region(np.ones(3) / 3, [1.0]),
+            lambda: outperformance_region(np.ones(3) / 3, [True]),
+            lambda: calibrate_uq_kfold(
+                np.random.default_rng(0).normal(size=(20, 3)),
+                Polytope([[1.0, -1.0]], [0.0], 2),
+                k=2,
+                bound_fns=fast_uq_bounds(Polytope([[1.0, -1.0]], [0.0], 2)),
+            ),
+        ],
+        ids=["index-past-end", "index-negative", "index-float", "index-bool",
+             "region-dimension"],
+    )
+    def test_uq_inputs_name_their_fault(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
 
     def test_gaussian_reduction_matches_monte_carlo(self):
         mkt = MarketModel(m=4)
@@ -525,6 +593,12 @@ class TestOutperformanceRegion:
 
 
 class TestDecisionAdapter:
+    def test_trained_adapter_refuses_another_asset_count(self):
+        problem = PortfolioDecisionProblem(PortfolioSpec(m=2))
+        problem.train(np.array([[0.5, -0.5], [0.0, 0.25]]), 0.1)
+        with pytest.raises(DimensionMismatch):
+            problem.train(np.zeros((3, 3)), 0.1)
+
     def test_train_and_score_round_trip(self):
         mkt = MarketModel(m=3)
         spec = PortfolioSpec(m=3)
@@ -546,7 +620,7 @@ class TestDecisionAdapter:
         grid = tuple(np.geomspace(1e-3, 1.0, 7))
         warm = calibrate_kfold(data, PortfolioDecisionProblem(spec), grid, seed=2)
         monkeypatch.setattr(
-            experiments, "solve_lp", lambda lp, config=None, warm=None: solve_lp(lp, config)
+            experiments, "solve_lp", lambda lp, warm=None: solve_lp(lp)
         )
         cold = calibrate_kfold(data, PortfolioDecisionProblem(spec), grid, seed=2)
         assert warm.fold_radii == cold.fold_radii
@@ -632,9 +706,9 @@ class TestMappedWarmStarts:
     def test_one_run_study_makes_one_cold_solve(self, monkeypatch, run, make_config):
         cold = []
 
-        def recording(lp, config=None, warm=None):
+        def recording(lp, warm=None):
             cold.append(warm is None)
-            return solve_lp(lp, config, warm)
+            return solve_lp(lp, warm=warm)
 
         monkeypatch.setattr(experiments, "solve_lp", recording)
         starts = self._count_starts(monkeypatch)
@@ -687,7 +761,7 @@ class TestPortfolioStudy:
     def test_warm_starts_change_nothing_beyond_tolerance(self, report, monkeypatch):
         cfg, warm = report
         monkeypatch.setattr(
-            experiments, "solve_lp", lambda lp, config=None, warm=None: solve_lp(lp, config)
+            experiments, "solve_lp", lambda lp, warm=None: solve_lp(lp)
         )
         cold = run_portfolio_study(cfg)
         for name, radius_cols, value_cols in (

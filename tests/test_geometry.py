@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wdro import geometry
 from wdro.errors import (
     DimensionMismatch,
     NormUnsupported,
@@ -69,17 +70,17 @@ class TestNorms:
 class TestPolytope:
     def test_box_membership(self):
         p = Polytope.box([-1.0, 0.0], [2.0, 1.0])
-        assert p.contains(np.array([0.0, 0.5])).item()
-        assert not p.contains(np.array([0.0, 1.5])).item()
+        assert p.violation(np.array([0.0, 0.5])).item() <= 0.0
+        assert p.violation(np.array([0.0, 1.5])).item() > 0.0
         assert p.violation(np.array([[3.0, 0.0]])).item() == pytest.approx(1.0)
 
     def test_free_support(self):
         p = Polytope.free(3)
         assert p.is_free
-        assert p.contains(np.array([1e6, -1e6, 0.0])).item()
+        assert p.violation(np.array([1e6, -1e6, 0.0])).item() <= 0.0
 
     def test_emptiness_detection(self):
-        p = Polytope.halfspaces([[1.0], [-1.0]], [-1.0, -1.0])  # x <= -1 and x >= 1
+        p = Polytope([[1.0], [-1.0]], [-1.0, -1.0], 1)  # x <= -1 and x >= 1
         assert not p.nonempty()
 
     def test_dimension_checks(self):
@@ -130,10 +131,11 @@ class TestEnumerateVertices:
         with pytest.raises(UnboundedPolyhedron):
             enumerate_vertices(np.array([[1.0, -1.0]]), np.array([0.0]))
 
-    def test_too_large_raises(self):
+    def test_too_large_raises(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_BASES", 10)
         A = np.vstack([np.ones(30), np.arange(30.0)])
         with pytest.raises(TooLarge):
-            enumerate_vertices(A, np.array([1.0, 1.0]), max_bases=10)
+            enumerate_vertices(A, np.array([1.0, 1.0]))
 
     def test_inconsistent_system_is_empty(self):
         A = np.array([[1.0, 1.0], [2.0, 2.0]])

@@ -200,7 +200,7 @@ class TestDualityProperties:
         seen = 0
         for _ in range(150):
             lp = random_bounded_lp(rng)
-            sol = solve_lp(lp, cfg)
+            sol = solve_lp(lp)
             if sol.status != "optimal":
                 continue
             seen += 1
@@ -581,8 +581,8 @@ class TestWarmStart:
     def test_neighbouring_radius_takes_fewer_pivots(self, monkeypatch):
         solves = []
 
-        def recording(lp, config=None, warm=None):
-            sol = solve_lp(lp, config, warm)
+        def recording(lp, warm=None):
+            sol = solve_lp(lp, warm=warm)
             solves.append(sol)
             return sol
 
@@ -633,22 +633,21 @@ class TestDump:
 
 class TestBreakdownPath:
     def test_iteration_cap_raises(self):
-        rng = np.random.default_rng(3)
-        lp = random_bounded_lp(rng)
-        cfg = SolverConfig(max_iterations=1)
-        with pytest.raises(NumericalBreakdown):
-            solve_lp(
-                LinearProgram(
-                    sense="min",
-                    costs=np.ones(3),
-                    row_coeffs=np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]),
-                    row_relations=(GE, GE),
-                    row_rhs=np.array([5.0, 1.0]),
-                    lower=np.zeros(3),
-                    upper=np.full(3, np.inf),
-                ),
-                cfg,
-            )
+        eng = simplex._Engine(
+            LinearProgram(
+                sense="min",
+                costs=np.ones(3),
+                row_coeffs=np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]),
+                row_relations=(GE, GE),
+                row_rhs=np.array([5.0, 1.0]),
+                lower=np.zeros(3),
+                upper=np.full(3, np.inf),
+            ),
+            SolverConfig(max_iterations=1),
+        )
+        with pytest.raises(NumericalBreakdown, match="iteration limit"):
+            eng.start(*eng.slack_start)
+            eng.phase_two()
 
 
 class TestFinalCheck:
