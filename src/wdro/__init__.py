@@ -19,25 +19,6 @@ from .calibrate import (
     radius_a_priori,
 )
 from .errors import WdroError
-from .experiments import (
-    MarketModel,
-    PortfolioDecisionProblem,
-    PortfolioResult,
-    PortfolioSpec,
-    PortfolioStudyConfig,
-    StudyReport,
-    UqStudyConfig,
-    build_portfolio_dro,
-    empirical_cvar,
-    fast_uq_bounds,
-    gaussian_orthant_upper,
-    out_of_sample_objective,
-    outperformance_region,
-    portfolio_empirical_objective,
-    run_portfolio_study,
-    run_uq_study,
-    solve_portfolio,
-)
 from .extremal import (
     ATOM_TOL,
     EscapeRay,
@@ -79,6 +60,28 @@ from .wasserstein import (
 )
 
 __version__ = "0.1.0"
+
+# The studies and oracles load scipy; their names resolve on first use
+# so that ``import wdro`` loads numpy alone.
+_EXPERIMENTS = frozenset({
+    "MarketModel",
+    "PortfolioDecisionProblem",
+    "PortfolioResult",
+    "PortfolioSpec",
+    "PortfolioStudyConfig",
+    "StudyReport",
+    "UqStudyConfig",
+    "build_portfolio_dro",
+    "empirical_cvar",
+    "fast_uq_bounds",
+    "gaussian_orthant_upper",
+    "out_of_sample_objective",
+    "outperformance_region",
+    "portfolio_empirical_objective",
+    "run_portfolio_study",
+    "run_uq_study",
+    "solve_portfolio",
+})
 
 __all__ = [
     "WdroError",
@@ -145,3 +148,17 @@ __all__ = [
     "run_uq_study",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # not cached in this module's globals: ``wdro.experiments`` stays the one
+    # binding, so rebinding a name there reaches ``wdro.<name>`` too
+    if name in _EXPERIMENTS:
+        from . import experiments
+
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _EXPERIMENTS)

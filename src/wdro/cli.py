@@ -10,6 +10,8 @@ with round-trip-exact formatting; reruns under the same seed produce
 byte-identical artifacts.  Each kind of input value has one reader
 (``_number``, ``_matrix``, ``_path``, ``_grid``, ``_setting``, ...), which
 raises a ``SpecFileError`` naming the field of anything it cannot take.
+``wdro.experiments``, which loads scipy, is imported by ``calibrate`` and
+``experiment`` only, so ``solve`` and ``worstcase`` start on numpy alone.
 """
 
 from __future__ import annotations
@@ -37,16 +39,6 @@ from .errors import (
     NormUnsupported,
     SpecFileError,
     WdroError,
-)
-from .experiments import (
-    MarketModel,
-    PortfolioDecisionProblem,
-    PortfolioSpec,
-    PortfolioStudyConfig,
-    UqStudyConfig,
-    fast_uq_bounds,
-    run_portfolio_study,
-    run_uq_study,
 )
 from .extremal import (
     verify_membership,
@@ -448,6 +440,8 @@ def cmd_worstcase(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import experiments
+
     doc = _load_config(
         args, ("method",),
         ("samples", "market", "n_samples", "portfolio", "grid", "folds",
@@ -466,7 +460,7 @@ def cmd_calibrate(args) -> int:
     if "samples" in doc:
         data = _parse_samples(doc["samples"], "config.samples")
     elif "market" in doc:
-        market = _parse_fields(MarketModel, doc["market"], "config.market",
+        market = _parse_fields(experiments.MarketModel, doc["market"], "config.market",
                                _MARKET_FIELDS)
         n = _number(doc.get("n_samples", 30), int, "config.n_samples",
                     nonnegative=True)
@@ -487,18 +481,18 @@ def cmd_calibrate(args) -> int:
         )
         cal = calibrate_uq_kfold(
             data, region, grid, k=folds, seed=seed,
-            bound_fns=fast_uq_bounds(region),
+            bound_fns=experiments.fast_uq_bounds(region),
         )
         result["bounds"] = [dataclasses.asdict(b) for b in cal.bounds]
         result["radius"] = cal.radius
     else:
-        spec = _parse_fields(PortfolioSpec, doc.get("portfolio", {}),
+        spec = _parse_fields(experiments.PortfolioSpec, doc.get("portfolio", {}),
                              "config.portfolio", _PORTFOLIO_FIELDS,
                              m=data.shape[1])
         if spec.m != data.shape[1]:
             raise SpecFileError(f"the data have {data.shape[1]} assets, not {spec.m}",
                                 field="config.portfolio.m")
-        problem = PortfolioDecisionProblem(spec)
+        problem = experiments.PortfolioDecisionProblem(spec)
         if method == "holdout":
             cal = calibrate_holdout(
                 data, problem, grid,
@@ -515,15 +509,17 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-# study -> (config class, runner); a runner reads this module's study
-# function at call time, so rebinding that name reaches it
+# study -> the names of its config class and runner in ``wdro.experiments``,
+# looked up there at call time, so rebinding a runner there reaches it
 _STUDIES = {
-    "portfolio": (PortfolioStudyConfig, lambda config: run_portfolio_study(config)),
-    "uq": (UqStudyConfig, lambda config: run_uq_study(config)),
+    "portfolio": ("PortfolioStudyConfig", "run_portfolio_study"),
+    "uq": ("UqStudyConfig", "run_uq_study"),
 }
 
 
 def cmd_experiment(args) -> int:
+    from . import experiments
+
     doc = _load_config(args, ("study",), ("runs", "master_seed", "out_dir"))
     study = doc["study"]
     if not isinstance(study, str) or study not in _STUDIES:
@@ -531,7 +527,7 @@ def cmd_experiment(args) -> int:
             f"unknown study {study!r}; use {' or '.join(_STUDIES)}",
             field="config.study",
         )
-    cls, run = _STUDIES[study]
+    cls, run = (getattr(experiments, name) for name in _STUDIES[study])
     if args.full_scale and not hasattr(cls, "full_scale"):
         raise SpecFileError(
             f"the {study} study has no full-scale setting", field="--full-scale"

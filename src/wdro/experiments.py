@@ -29,8 +29,7 @@ import numpy as np
 import scipy
 from scipy import integrate
 from scipy.linalg import qr
-from scipy.special import ndtr, owens_t
-from scipy.stats import norm as _normal
+from scipy.special import ndtr, ndtri, owens_t
 
 from .calibrate import calibrate_holdout, calibrate_kfold, calibrate_uq_kfold
 from .errors import (
@@ -390,9 +389,9 @@ def out_of_sample_objective(
     if spec.alpha >= 1.0:
         cvar = mu_l
     else:
-        cvar = mu_l + sd_l * float(
-            _normal.pdf(_normal.ppf(1.0 - spec.alpha)) / spec.alpha
-        )
+        q = ndtri(1.0 - spec.alpha)
+        pdf = np.exp(-q**2 / 2.0) / np.sqrt(2.0 * np.pi)
+        cvar = mu_l + sd_l * float(pdf / spec.alpha)
     return mu_l + spec.rho * cvar
 
 

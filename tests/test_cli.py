@@ -464,7 +464,8 @@ def no_study(tmp_path, monkeypatch):
     it is read."""
     monkeypatch.chdir(tmp_path)
     for study in ("run_portfolio_study", "run_uq_study"):
-        monkeypatch.setattr(f"wdro.cli.{study}", lambda config: pytest.fail("ran"))
+        monkeypatch.setattr(f"wdro.experiments.{study}",
+                            lambda config: pytest.fail("ran"))
 
 
 def with_value(doc, path, value):

@@ -340,6 +340,23 @@ class TestOutOfSampleObjective:
         w = np.array([1.0, 0.0, 0.0])
         assert out_of_sample_objective(w, spec, mkt) == pytest.approx(-0.03)
 
+    def test_cvar_closed_form_is_bit_identical_to_scipy_stats(self):
+        # the normal density at the quantile is written out with ndtri, so
+        # that the module loads no scipy.stats; it must not move a bit
+        mkt = MarketModel(m=3)
+        w = np.array([0.2, 0.3, 0.5])
+        mu_l = -float(w @ mkt.mean())
+        sd_l = float(np.sqrt(max(float(w @ mkt.covariance() @ w), 0.0)))
+        levels = np.concatenate([
+            np.linspace(0.0, 1.0, 2002)[1:-1],
+            np.geomspace(1e-300, 1e-3, 200),
+            1.0 - np.geomspace(1e-16, 1e-3, 100),
+        ])
+        for alpha in levels:
+            spec = PortfolioSpec(m=3, rho=1.5, alpha=float(alpha))
+            cvar = mu_l + sd_l * float(norm.pdf(norm.ppf(1.0 - alpha)) / alpha)
+            assert out_of_sample_objective(w, spec, mkt) == mu_l + 1.5 * cvar
+
 
 class TestOrthantOracle:
     def test_dimension_one_is_a_normal_cdf(self):
