@@ -34,10 +34,16 @@ from .calibrate import (
     calibrate_uq_kfold,
 )
 from .errors import (
+    DualPolytopeUnbounded,
     EmptySupport,
+    EscapingMassPresent,
     GridEmpty,
+    HypothesisViolated,
+    NoCoveringRadius,
     NormUnsupported,
+    RecourseSetUnbounded,
     SpecFileError,
+    UnboundedPolyhedron,
     WdroError,
 )
 from .extremal import (
@@ -60,13 +66,13 @@ from .reformulate import (
 # errors that reflect the mathematics of the instance rather than its
 # encoding; they exit 2, everything else invalid exits 1
 _MATH_ERRORS = (
-    "HypothesisViolated",
-    "RecourseSetUnbounded",
-    "DualPolytopeUnbounded",
-    "EmptySupport",
-    "UnboundedPolyhedron",
-    "NoCoveringRadius",
-    "EscapingMassPresent",
+    HypothesisViolated,
+    RecourseSetUnbounded,
+    DualPolytopeUnbounded,
+    EmptySupport,
+    UnboundedPolyhedron,
+    NoCoveringRadius,
+    EscapingMassPresent,
 )
 
 def _object(obj, where: str) -> dict:
@@ -615,7 +621,7 @@ def main(argv=None) -> int:
         field = getattr(exc, "field", None)
         suffix = f" (field: {field})" if field else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)
-        return 2 if type(exc).__name__ in _MATH_ERRORS else 1
+        return 2 if isinstance(exc, _MATH_ERRORS) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

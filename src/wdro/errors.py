@@ -20,10 +20,12 @@ class MalformedProgram(WdroError):
 
 class NumericalBreakdown(WdroError):
     """The simplex engine could not produce a trustworthy answer: a basis
-    turned singular on refactorization, the hard iteration cap was reached,
-    phase one reported an unbounded direction, or a solution kept failing the final check against the original program
-    (residuals, reduced-cost signs, primal-dual gap) after the restarts
-    from the current basis, the last one under Bland's rule."""
+    turned singular in a phase's periodic refactorization (a start or
+    restart repairs one instead), the hard iteration cap was reached,
+    phase one reported an unbounded direction, or a solution kept failing
+    the final check against the original program (residuals, reduced-cost
+    signs, primal-dual gap) after the restarts from the current basis, the
+    last one under Bland's rule."""
 
 
 class EmptySupport(WdroError):

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 import scipy
 from scipy import integrate
-from scipy.linalg import qr
 from scipy.special import ndtr, ndtri, owens_t
 
 from .calibrate import calibrate_holdout, calibrate_kfold, calibrate_uq_kfold
@@ -208,34 +207,19 @@ def build_portfolio_dro(
     return a.build()
 
 
-def _free_shared_columns(spec, data) -> np.ndarray:
-    """Columns x, tau and t of the free-support program, every row.
+def _solve_portfolio_free(spec, data, epsilon, warm=None):
+    """Free-support shortcut: the optimal multiplier is known to be
+    max_k |a_k| times the dual norm of x, so the program shrinks to the
+    sample mean-CVaR plus a norm-of-weights penalty.  Equivalent to the
+    joint program (tested); roughly halves the row count.
 
     The program's layout: columns x (m, >= 0), tau (free), t (>= 0, the
     dual norm of x), then one hinge z_i (>= 0) per sample; rows sum(x) = 1,
     then -xi_i.x - tau - z_i <= 0 per sample, then the dual-norm epigraph
     (x >= 0 keeps it one-sided), x_j - t <= 0 per asset for the L1 ground
     norm or sum(x) - t <= 0 for Linf.  So sample i owns row 1 + i, column
-    m + 2 + i and, in the engine's numbering, that row's slack; only the
-    columns here and the first and norm rows are shared.  ``0.0 - data``,
-    not ``-data``, keeps a zero sample at +0.0."""
-    N, m = data.shape
-    n_norm = m if spec.ground_norm is GroundNorm.L1 else 1
-    H = np.zeros((1 + N + n_norm, m + 2))
-    H[0, :m] = 1.0
-    H[1 : N + 1, :m] = 0.0 - data
-    H[1 : N + 1, m] = -1.0
-    H[N + 1 :, :m] = np.eye(m) if n_norm == m else 1.0
-    H[N + 1 :, m + 1] = -1.0
-    return H
-
-
-def _solve_portfolio_free(spec, data, epsilon, warm=None):
-    """Free-support shortcut: the optimal multiplier is known to be
-    max_k |a_k| times the dual norm of x, so the program shrinks to the
-    sample mean-CVaR plus a norm-of-weights penalty.  Equivalent to the
-    joint program (tested); roughly halves the row count.  The layout is
-    in :func:`_free_shared_columns`."""
+    m + 2 + i and, in the engine's numbering, that row's slack.
+    ``0.0 - data``, not ``-data``, keeps a zero sample at +0.0."""
     N, m = data.shape
     a_coef, _ = spec.pieces()
     kappa = float(np.max(np.abs(a_coef)))
@@ -243,8 +227,12 @@ def _solve_portfolio_free(spec, data, epsilon, warm=None):
     n_rows, n_cols = 1 + N + n_norm, m + 2 + N
     _check_dense_size(n_rows, n_cols)
     A = np.zeros((n_rows, n_cols))
-    A[:, : m + 2] = _free_shared_columns(spec, data)
+    A[0, :m] = 1.0
+    A[1 : N + 1, :m] = 0.0 - data
+    A[1 : N + 1, m] = -1.0
     A[np.arange(1, N + 1), np.arange(m + 2, n_cols)] = -1.0
+    A[N + 1 :, :m] = np.eye(m) if n_norm == m else 1.0
+    A[N + 1 :, m + 1] = -1.0
     # a column at a time: np.mean(data, axis=0) sums in another order
     means = np.array([np.mean(data[:, j]) for j in range(m)])
     costs = np.concatenate([0.0 - means, [spec.rho, epsilon * kappa], np.zeros(N)])
@@ -263,7 +251,7 @@ def _solve_portfolio_free(spec, data, epsilon, warm=None):
     return _portfolio_result(lp, m, warm)
 
 
-def _map_free_basis(spec, old_samples, old: PortfolioResult, samples):
+def _map_free_basis(old_samples, old: PortfolioResult, samples):
     """Carry ``old``, an optimal result on the free-support program of
     ``old_samples``, over to the program of ``samples`` as a ``warm`` basis.
 
@@ -272,11 +260,9 @@ def _map_free_basis(spec, old_samples, old: PortfolioResult, samples):
     status of its hinge column and its row's slack; a dropped one takes
     both away; an added one gets its hinge basic if the old (x, tau)
     violates its row and its slack basic otherwise.  The shared columns
-    keep their status, except that a dropped sample whose row neither its
-    hinge nor its slack covered leaves one basic column too many.  Then
-    pivoted QR on A[R, J] (R the rows no basic slack or hinge covers, J
-    the basic shared columns) keeps |R| independent columns of J and makes
-    the others nonbasic at their bound."""
+    keep their status, so a dropped sample can leave a basic column too
+    many (its row had neither its hinge nor its slack basic) or too few
+    (both); the engine repairs such a basis when it starts from it."""
     basis, at_upper = old.basis
     N_old, m = old_samples.shape
     N = samples.shape[0]
@@ -298,29 +284,13 @@ def _map_free_basis(spec, old_samples, old: PortfolioResult, samples):
         np.where(src >= 0, n_old + 1 + src, -1),
         n_old + 1 + N_old + np.arange(n_norm),
     ])
-    kept = cols >= 0
-    old_basic = np.zeros(at_upper.size, dtype=bool)
-    old_basic[basis] = True
-    is_basic = np.zeros(cols.size, dtype=bool)
-    is_basic[kept] = old_basic[cols[kept]]
-    upper = np.zeros(cols.size, dtype=bool)
-    upper[kept] = at_upper[cols[kept]]
+    # an added sample's columns, -1, are neither basic nor at upper
+    is_basic, upper = np.isin(cols, basis), np.append(at_upper, False)[cols]
 
     added = np.flatnonzero(src < 0)
     hinge = (0.0 - samples[added]) @ old.weights - old.tau > 0.0
     is_basic[head + added[hinge]] = True
     is_basic[n + 1 + added[~hinge]] = True
-
-    covered = is_basic[n:].copy()
-    covered[1 : N + 1] |= is_basic[head:n]
-    R = np.flatnonzero(~covered)
-    J = np.flatnonzero(is_basic[:head])
-    if J.size > R.size:
-        drop = J
-        if R.size:
-            block = _free_shared_columns(spec, samples)[np.ix_(R, J)]
-            drop = J[qr(block, mode="r", pivoting=True)[1][R.size :]]
-        is_basic[drop] = False
     return np.flatnonzero(is_basic), upper
 
 
@@ -425,7 +395,7 @@ class PortfolioDecisionProblem:
             if same:
                 warm = near.basis
             elif self.spec.resolved_support().is_free:
-                warm = _map_free_basis(self.spec, self._samples, near, samples)
+                warm = _map_free_basis(self._samples, near, samples)
         result = solve_portfolio(self.spec, samples, epsilon, warm)
         if not same:
             self._samples, self._by_radius = samples, {}

@@ -23,11 +23,13 @@ rows, and the row duals use the basic columns with nonzero cost.
 
 Every solve begins the same way: a basis is installed with each nonbasic
 column at a bound, its inverse is built, and basic values outside their
-bounds are clamped.  The residual this leaves goes into a single
-artificial column, and phase one drives that column from one to zero.  A
-cold solve starts from the slack basis, every other column at its finite
-bound nearest zero (or at zero when free); a positive phase-one optimum
-there is an infeasibility certificate.
+bounds are clamped.  A basis whose block A[R, J] is not square or is
+singular is repaired before the inverse is built (``_Engine._repair``).
+The residual the clamping leaves goes into a single artificial column,
+and phase one drives that column from one to zero.  A cold solve starts
+from the slack basis, every other column at its finite bound nearest
+zero (or at zero when free); a positive phase-one optimum there is an
+infeasibility certificate.
 
 Pricing uses the largest-violation (Dantzig) rule with lowest-index
 tie-breaks, switching to Bland's least-index rule after
@@ -57,10 +59,11 @@ coefficient, so the basis stays primal feasible and phase two starts
 next to the new optimum), and the portfolio adapter maps it across
 sample sets, keeping each kept sample's columns and covering an added
 sample's row by its hinge or its slack.  The engine does not care where
-a basis came from: the start repairs an infeasible point by phase one,
-and a basis that does not fit (wrong length, a column out of range,
-singular, or with a positive phase-one optimum) is dropped and the solve
-starts from the slack basis.
+a basis came from: the start drops repeated columns (np.linalg.inv can
+miss their singularity) and repairs a short, long or singular basis and
+an infeasible point as above.  A malformed basis (not 1-D integers, a
+column out of range, bound sides of the wrong length), or one with a
+positive phase-one optimum, is dropped for the slack basis.
 """
 
 from __future__ import annotations
@@ -86,6 +89,21 @@ def _slack_bounds(relations) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array([-np.inf if rel == GE else 0.0 for rel in relations], dtype=float)
     hi = np.array([np.inf if rel == LE else 0.0 for rel in relations], dtype=float)
     return lo, hi
+
+
+def _independent(M: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Columns of M picked greedily by largest residual norm (Businger and
+    Golub 1965) while it exceeds ``rel_tol`` times the largest column norm."""
+    norms = np.einsum("ij,ij->j", M, M)
+    floor = rel_tol**2 * norms.max(initial=0.0)
+    picked = []
+    while len(picked) < min(M.shape) and norms.max() > floor:
+        k = int(np.argmax(norms))
+        picked.append(k)
+        M = M - np.outer(M[:, k], M[:, k] @ M) / norms[k]
+        norms = np.einsum("ij,ij->j", M, M)
+        norms[picked] = 0.0
+    return np.array(picked, dtype=np.int64)
 
 
 class _Engine:
@@ -132,15 +150,14 @@ class _Engine:
         n = self.n_struct
         return self.A @ np.append(x[:n], x[self.art]) + x[n : self.art]
 
-    def _refactor(self) -> None:
+    def _refactor(self, repair: bool = False) -> None:
         """Rebuild B_inv from the basis.  With S the basic slacks, J the
         other basic columns and R the rows no basic slack covers, only the
         block G = A[R, J]^-1 needs inverting: rows J of B_inv are G in the
         columns R, and the row of a slack covering row s is
-        -(A[s, J] @ G) in the columns R plus a one in column s."""
+        -(A[s, J] @ G) in the columns R plus a one in column s.  Without
+        ``repair``, a block np.linalg.inv refuses raises NumericalBreakdown."""
         m, n = self.m, self.n_struct
-        if m == 0:
-            return
         basis = self.basis
         slack = (basis >= n) & (basis < self.art)
         S, J = np.flatnonzero(slack), np.flatnonzero(~slack)
@@ -148,22 +165,36 @@ class _Engine:
         uncovered = np.ones(m, dtype=bool)
         uncovered[rows_S] = False
         R = np.flatnonzero(uncovered)
-        if R.size != J.size:
-            raise NumericalBreakdown("singular basis during refactorization")
         B_inv = np.zeros((m, m))
-        B_inv[S, rows_S] = 1.0
-        if J.size:
+        if J.size or R.size:
             cols = self.A[:, np.where(basis[J] == self.art, n, basis[J])]
             try:
                 G = np.linalg.inv(cols[R])
             except np.linalg.LinAlgError as exc:
-                raise NumericalBreakdown("singular basis during refactorization") from exc
+                if not repair:
+                    raise NumericalBreakdown("singular basis during refactorization") from exc
+                self._repair(basis[S], basis[J], cols[R], R)
+                return self._refactor()
             B_inv[np.ix_(J, R)] = G
             B_inv[np.ix_(S, R)] = -(cols[rows_S] @ G)
+        B_inv[S, rows_S] = 1.0
         self.B_inv = B_inv
         x_nb = self.x.copy()
         x_nb[basis] = 0.0
         self.x[basis] = B_inv @ (self.b - self._times(x_nb))
+
+    def _repair(self, slacks, others, block, R) -> None:
+        """Complete the basis with slacks, as Bixby (1992) completes a crash
+        basis.  Columns of ``others`` (J) independent in ``block`` = A[R, J]
+        stay, with as many rows of R; the rest of J leave at their bound
+        nearest zero, slacks of the other rows enter, repeated columns go."""
+        keep = _independent(block, self.cfg.pivot_tol)
+        rows = slice(None) if keep.size == R.size else _independent(block[:, keep].T, 0.0)
+        out = np.delete(others, keep)
+        self._to_bound(out, np.abs(self.hi[out]) < np.abs(self.lo[out]))
+        enter = self.n_struct + np.delete(R, rows)
+        self.basis = np.concatenate([np.unique(slacks), others[keep], enter])
+        self.status[self.basis] = _BASIC
 
     def ftran(self, j: int) -> np.ndarray:
         """B^-1 times column j, from that column's nonzero rows only."""
@@ -313,25 +344,11 @@ class _Engine:
         self.status[art] = _AT_LOWER
 
     def drop_artificial(self) -> None:
-        """Fix the artificial column at zero, first swapping it out of the
-        basis if phase one left it basic (at zero), and refactor."""
-        art, n, n_real = self.art, self.n_struct, self.n_struct + self.m
+        """Fix the artificial column at zero and take it out of the basis if
+        phase one left it basic (at zero); the repair covers its row."""
         self._fix_artificial()
-        for r in np.flatnonzero(self.basis == art):
-            r = int(r)
-            row = np.concatenate((self.B_inv[r, :] @ self.A[:, :n], self.B_inv[r, :]))
-            row[self.status[:n_real] == _BASIC] = 0.0
-            # Prefer a column that can move; a fixed one (an equality slack)
-            # holds the row at zero just as well when no other column can.
-            pick = np.where(self.fixed[:n_real], 0.0, row)
-            if np.abs(pick).max() <= self.cfg.pivot_tol:
-                pick = row
-            jq = int(np.argmax(np.abs(pick)))
-            if abs(pick[jq]) <= self.cfg.pivot_tol:
-                raise NumericalBreakdown("the artificial column cannot leave the basis")
-            self.basis[r] = jq
-            self.status[jq] = _BASIC
-        self._refactor()
+        self.basis = self.basis[self.basis != self.art]
+        self._refactor(repair=True)
 
     def phase_two(self) -> int:
         return self._run(self.cost)
@@ -343,8 +360,8 @@ class _Engine:
         clamped and the residual that leaves goes into the artificial
         column, which phase one then drives from one to zero.  A positive
         optimum leaves the phase-one basis in place, and its duals are an
-        infeasibility certificate."""
-        self._refactor()
+        infeasibility certificate.  A basis that does not fit is repaired."""
+        self._refactor(repair=True)
         xb = self.x[self.basis]
         clamped = np.clip(xb, self.lo[self.basis], self.hi[self.basis])
         if np.array_equal(clamped, xb):
@@ -360,20 +377,24 @@ class _Engine:
             self.drop_artificial()
         return infeasibility
 
+    def _to_bound(self, cols, at_upper: np.ndarray) -> None:
+        """Make ``cols`` nonbasic at a finite bound, the upper one where
+        ``at_upper`` says so or the lower is infinite; free ones at zero."""
+        lo, hi = self.lo[cols], self.hi[cols]
+        up = np.isfinite(hi) & (at_upper | ~np.isfinite(lo))
+        down = np.isfinite(lo) & ~up
+        self.x[cols] = np.where(up, hi, np.where(down, lo, 0.0))
+        self.status[cols] = np.where(up, _AT_UPPER, np.where(down, _AT_LOWER, _FREE))
+
     def start(self, basis: np.ndarray, at_upper: np.ndarray) -> float:
         """Begin a solve from ``basis``, each other column at a bound (the
         upper one where ``at_upper`` says so), and return the phase-one
-        optimum of restart(); raises NumericalBreakdown if the basis is
-        singular or phase one breaks down."""
-        n_real = self.n_struct + self.m
+        optimum of restart(); raises NumericalBreakdown if phase one
+        breaks down."""
         self.iterations = 0
         self.bland_after = SolverConfig.bland_after(self.n_struct, self.m)
         self._fix_artificial()
-        lo, hi = self.lo[:n_real], self.hi[:n_real]
-        up = np.isfinite(hi) & (at_upper | ~np.isfinite(lo))
-        down = np.isfinite(lo) & ~up
-        self.x[:n_real] = np.where(up, hi, np.where(down, lo, 0.0))
-        self.status[:n_real] = np.where(up, _AT_UPPER, np.where(down, _AT_LOWER, _FREE))
+        self._to_bound(slice(0, self.n_struct + self.m), at_upper)
         self.basis = basis.astype(np.int64)
         self.status[self.basis] = _BASIC
         return self.restart()
@@ -423,13 +444,14 @@ def _certifies_optimal(
 
 
 def _start_warm(eng: _Engine, warm) -> bool:
-    """Start ``eng`` from the basis ``warm``; False if it does not fit."""
+    """Start ``eng`` from ``warm``; False if it is malformed or phase one fails."""
     basis, at_upper = (np.asarray(part) for part in warm)
     n_real = eng.n_struct + eng.m
-    if basis.shape != (eng.m,) or at_upper.shape != (n_real,):
+    if basis.ndim != 1 or basis.dtype.kind not in "iu" or at_upper.shape != (n_real,):
         return False
     if basis.size and (basis.min() < 0 or basis.max() >= n_real):
         return False
+    basis = basis[np.sort(np.unique(basis, return_index=True)[1])]
     try:
         return eng.start(basis, at_upper.astype(bool)) <= eng.cfg.feas_tol
     except NumericalBreakdown:
@@ -447,8 +469,8 @@ def solve_lp(lp: LinearProgram, warm=None) -> LpSolution:
     ``warm`` is the ``basis`` of an earlier optimal solution, of the same
     constraints under other costs or mapped onto this program's columns
     from a related one.  The solve then starts from it rather than from
-    the slack basis; a basis that does not fit this program is ignored.
-    Either way the answer passes the same final check.
+    the slack basis; a short or singular basis is repaired, a malformed
+    one ignored.  Either way the answer passes the same final check.
     """
     cfg = SolverConfig()
     eng = _Engine(lp, cfg)

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import wdro.cli as cli
+from wdro import errors
 from wdro.cli import main, parse_problem_spec
 from wdro.errors import SpecFileError
 from wdro.geometry import GroundNorm
@@ -142,6 +144,23 @@ class TestSolve:
             "h": [0.0, -1.0],
         }
         assert main(["solve", "--spec", write_spec(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(name, 2) for name in (
+            "HypothesisViolated", "RecourseSetUnbounded", "DualPolytopeUnbounded",
+            "EmptySupport", "UnboundedPolyhedron", "NoCoveringRadius",
+            "EscapingMassPresent",
+        )] + [("NumericalBreakdown", 1), ("SampleOutsideSupport", 1), ("WdroError", 1)],
+    )
+    def test_exit_code_follows_the_error_class(self, tmp_path, capsys, monkeypatch,
+                                               error, code):
+        def fail(doc):
+            raise getattr(errors, error)("raised on purpose")
+
+        monkeypatch.setattr(cli, "parse_problem_spec", fail)
+        assert main(["solve", "--spec", write_spec(tmp_path, hinge_spec())]) == code
+        assert "raised on purpose" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "worstcase"])
     @pytest.mark.parametrize(

@@ -379,9 +379,9 @@ def _basis_matrix(eng, lp, basis):
     return full[:, basis]
 
 
-def _refactored(eng, basis):
+def _refactored(eng, basis, repair=False):
     eng.basis = np.asarray(basis, dtype=np.int64)
-    eng._refactor()
+    eng._refactor(repair)
     return eng.B_inv
 
 
@@ -457,6 +457,40 @@ class TestBasisInverse:
             with pytest.raises(NumericalBreakdown):
                 _refactored(_engine(lp), basis)
 
+    def test_repair_fits_repeated_or_singular_bases(self):
+        # the bases of the test above, refactored as a restart does
+        lp = _lp("min", [1, 1, 1], [[1, 2, 0], [1, 2, 0], [0, 1, 1]], [LE] * 3,
+                 [1, 1, 1], [0] * 3, [np.inf] * 3)
+        n = lp.n_vars
+        for basis in ([n, n, n + 2], [n + 1, n + 1, 2], [0, 1, n + 2], [2, 2, n]):
+            eng = _engine(lp)
+            B_inv = _refactored(eng, basis, repair=True)
+            assert np.unique(eng.basis).size == eng.basis.size == lp.n_rows
+            B = _basis_matrix(eng, lp, eng.basis)
+            assert np.allclose(B_inv @ B, np.eye(lp.n_rows), atol=1e-12)
+
+    def test_repair_keeps_as_many_columns_as_the_rank(self):
+        rng = np.random.default_rng(61)
+        tol = SolverConfig().pivot_tol
+        for _ in range(40):
+            m = int(rng.integers(2, 12))
+            n, rank = m + 3, int(rng.integers(1, m))
+            coeffs = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+            assert simplex._independent(coeffs, tol).size == rank
+            # too short or too long, so always repaired; some columns slacks
+            size = m + int(rng.choice([-2, -1, 1, 2]))
+            basis = rng.permutation(n + m)[:size]
+            lp = _with(_dense_lp(rng, m, n), row_coeffs=coeffs)
+            eng = _engine(lp)
+            B_inv = _refactored(eng, basis, repair=True)
+            structural, slacks = basis[basis < n], basis[basis >= n] - n
+            rows = np.setdiff1d(np.arange(m), slacks)
+            kept = np.count_nonzero(eng.basis < n)
+            assert kept == np.linalg.matrix_rank(coeffs[np.ix_(rows, structural)])
+            assert np.unique(eng.basis).size == eng.basis.size == m
+            B = _basis_matrix(eng, lp, eng.basis)
+            assert np.allclose(B_inv @ B, np.eye(m), atol=1e-8)
+
 
 def _with(lp, **changes):
     fields = dict(
@@ -531,7 +565,7 @@ class TestWarmStart:
                 repaired += bool(repairs) and repairs[0]
         assert repaired > 5  # the old basis was infeasible and restart() fixed it
 
-    def test_bases_that_do_not_fit_fall_back_to_cold(self):
+    def test_malformed_bases_are_ignored(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             lp = random_general_lp(rng)
@@ -540,10 +574,29 @@ class TestWarmStart:
                 continue
             basis, at_upper = cold.basis
             n_real = lp.n_vars + lp.n_rows
-            artificial = basis.copy()
-            artificial[0] = n_real
-            for bad in ((basis[:-1], at_upper), (basis, at_upper[:-1]), (artificial, at_upper)):
+            for column in (-1, n_real, n_real + 1):  # n_real is the artificial
+                bad = basis.copy()
+                bad[0] = column
+                _same_solution(solve_lp(lp, warm=(bad, at_upper)), cold)
+            for bad in ((basis, at_upper[:-1]), (basis.astype(float), at_upper)):
                 _same_solution(solve_lp(lp, warm=bad), cold)
+
+    def test_short_or_singular_bases_are_repaired(self):
+        cfg = SolverConfig()
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(20):
+            lp = random_general_lp(rng)
+            cold = solve_lp(lp)
+            if not cold.is_optimal:
+                continue
+            basis, at_upper = cold.basis
+            assert simplex._start_warm(_engine(lp), (basis[:-1], at_upper))
+            got = solve_lp(lp, warm=(basis[:-1], at_upper))
+            obj = cold.objective_value
+            assert abs(got.objective_value - obj) <= cfg.gap_tol * (1.0 + abs(obj))
+            checked += 1
+        assert checked > 5
 
         # x and y are basic at the optimum of the first program; in the
         # second, same-shaped program their columns are parallel.
@@ -551,11 +604,10 @@ class TestWarmStart:
         second = _lp("max", [1, 2], [[1, 1], [2, 2]], [LE, LE], [1, 2], [0, 0], [np.inf] * 2)
         sol = solve_lp(first)
         assert sorted(sol.basis[0]) == [0, 1]
-        with pytest.raises(NumericalBreakdown):
-            simplex._Engine(second, SolverConfig()).start(*sol.basis)
+        assert _engine(second).start(*sol.basis) <= cfg.feas_tol
+        assert simplex._start_warm(_engine(second), sol.basis)
         got = solve_lp(second, warm=sol.basis)
-        _same_solution(got, solve_lp(second))
-        assert got.objective_value == pytest.approx(2.0)
+        assert got.objective_value == pytest.approx(2.0, abs=cfg.gap_tol * 3.0)
 
     def test_cold_solve_is_a_start_from_the_slack_basis(self):
         rng = np.random.default_rng(47)
@@ -759,6 +811,36 @@ class TestFinalCheck:
             assert got.objective_value == pytest.approx(ref_val, abs=1e-7)
             repaired += any(restarts)
         assert repaired > 5  # the restart's phase one was exercised
+
+    def test_singular_basis_is_repaired_on_restart(self):
+        # A structural basic column overwritten by a copy of a basic slack
+        # leaves the basis singular: the restart repairs it.
+        cfg = SolverConfig()
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(60):
+            lp = random_general_lp(rng)
+            ref_status, ref_val, _ = solve_with_scipy(lp)
+            eng = _engine(lp)
+            if ref_status != "optimal" or eng.start(*eng.slack_start) > cfg.feas_tol:
+                continue
+            assert eng.phase_two() == simplex._OPTIMAL
+            structural = np.flatnonzero(eng.basis < lp.n_vars)
+            slack = np.flatnonzero(eng.basis >= lp.n_vars)
+            if not (structural.size and slack.size):
+                continue
+            r = int(structural[0])
+            gone = int(eng.basis[r])
+            eng.basis[r] = eng.basis[slack[0]]
+            eng._to_bound([gone], np.array([False]))
+            assert eng.restart() <= cfg.feas_tol
+            assert eng.phase_two() == simplex._OPTIMAL
+            assert np.unique(eng.basis).size == lp.n_rows
+            x = eng.x[: lp.n_vars]
+            assert simplex._certifies_optimal(lp, x, eng.raw_duals(eng.cost), cfg)
+            assert lp.costs @ x == pytest.approx(ref_val, abs=1e-7)
+            checked += 1
+        assert checked > 5
 
     def test_point_that_never_verifies_raises(self, monkeypatch):
         monkeypatch.setattr(simplex, "_certifies_optimal", lambda *args: False)
