@@ -129,23 +129,7 @@ __all__ = [
     "calibrate_holdout",
     "calibrate_kfold",
     "calibrate_uq_kfold",
-    "MarketModel",
-    "PortfolioSpec",
-    "PortfolioResult",
-    "build_portfolio_dro",
-    "solve_portfolio",
-    "empirical_cvar",
-    "portfolio_empirical_objective",
-    "out_of_sample_objective",
-    "PortfolioDecisionProblem",
-    "gaussian_orthant_upper",
-    "outperformance_region",
-    "fast_uq_bounds",
-    "PortfolioStudyConfig",
-    "UqStudyConfig",
-    "StudyReport",
-    "run_portfolio_study",
-    "run_uq_study",
+    *sorted(_EXPERIMENTS),
     "__version__",
 ]
 

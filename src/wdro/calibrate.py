@@ -33,6 +33,7 @@ from .errors import (
     NoCoveringRadius,
 )
 from .geometry import Polytope
+from .reformulate import _check_samples
 
 __all__ = [
     "DEFAULT_GRID",
@@ -188,7 +189,7 @@ def calibrate_holdout(
     within SCORE_TIE_RTOL, go to the smallest radius).  The returned
     decision is the one trained on the training part at the selected
     radius."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _check_samples(data)
     grid = _clean_grid(grid)
     if not (0.0 < split < 1.0):
         raise DimensionMismatch("split fraction must lie strictly in (0, 1)")
@@ -221,7 +222,7 @@ def calibrate_kfold(
     """Holdout selection with each of k contiguous shuffled blocks as the
     validation part in turn; the final radius is the average of the fold
     selections and the decision is retrained on all data at that radius."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _check_samples(data)
     grid = _clean_grid(grid)
     partition, folds = _folds(data, k, seed)
 
@@ -277,7 +278,7 @@ def calibrate_uq_kfold(
     holds the upper side, then the lower; ``radius`` and ``fold_radii``
     are the upper side's.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _check_samples(data)
     if safe_set.dim != data.shape[1]:
         raise DimensionMismatch("region dimension does not match data columns")
     grid = _clean_grid(grid)

@@ -100,11 +100,10 @@ def _check_version(doc: dict, where: str) -> None:
         )
 
 
-def _number(obj, kind, where: str, nonnegative: bool = False):
+def _number(obj, kind, where: str, least=None):
     """``kind(obj)`` for kind int or float.  Anything but a JSON number
     (a boolean, a string, null, a list), a non-finite float, a fractional
-    int or, with ``nonnegative``, a negative value is a SpecFileError
-    naming ``where``."""
+    int or a value below ``least`` is a SpecFileError naming ``where``."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SpecFileError("expected a number", field=where)
     try:
@@ -116,8 +115,8 @@ def _number(obj, kind, where: str, nonnegative: bool = False):
         raise SpecFileError("expected a finite number", field=where)
     if isinstance(obj, float) and value != obj:
         raise SpecFileError("expected a whole number", field=where)
-    if nonnegative and value < 0:
-        raise SpecFileError("expected a nonnegative number", field=where)
+    if least is not None and value < least:
+        raise SpecFileError(f"expected a number of at least {least}", field=where)
     return value
 
 
@@ -155,15 +154,15 @@ def _path(obj, where: str, use: str = "read") -> Path:
 
 
 def _setting(args, flag: str, doc: dict, key: str, kind, default=None,
-             where: str = "config", nonnegative: bool = False):
+             where: str = "config", least=None):
     """The number given by option ``--flag`` or, failing it, by ``key`` of
     ``doc`` (``default`` when neither is given), read by ``_number`` and
     reported under the option or under ``where.key``."""
     value = getattr(args, flag)
     if value is not None:
-        return _number(value, kind, f"--{flag}", nonnegative)
+        return _number(value, kind, f"--{flag}", least)
     if key in doc:
-        return _number(doc[key], kind, f"{where}.{key}", nonnegative)
+        return _number(doc[key], kind, f"{where}.{key}", least)
     return default
 
 
@@ -296,7 +295,7 @@ def parse_problem_spec(doc: dict) -> DroProblem:
     dim = samples.shape[1]
     norm = _parse_norm(doc["norm"], "spec.norm")
     support = _parse_polytope(doc["support"], dim, "spec.support")
-    radius = _number(doc["radius"], float, "spec.radius", nonnegative=True)
+    radius = _number(doc["radius"], float, "spec.radius", least=0)
     loss = _parse_loss(doc["loss"], dim, "spec.loss")
     try:
         return DroProblem(samples, support, radius, norm, loss)
@@ -365,7 +364,7 @@ def _load_problem(args) -> DroProblem:
     """The problem of ``--spec``, at the radius of ``--epsilon`` if given."""
     doc = _load_spec_file(args.spec, "spec")
     radius = _setting(args, "epsilon", doc, "radius", float, where="spec",
-                      nonnegative=True)
+                      least=0)
     if radius is not None:
         doc["radius"] = radius
     return parse_problem_spec(doc)
@@ -459,9 +458,9 @@ def cmd_calibrate(args) -> int:
             f"unknown method {method!r}; use holdout, kfold or uq_kfold",
             field="config.method",
         )
-    seed = _setting(args, "seed", doc, "seed", int, 0, nonnegative=True)
+    seed = _setting(args, "seed", doc, "seed", int, 0, least=0)
     grid = _grid(args.grid, doc)
-    folds = _setting(args, "folds", doc, "folds", int, 5)
+    folds = _setting(args, "folds", doc, "folds", int, 5, least=2)
 
     if "samples" in doc:
         data = _parse_samples(doc["samples"], "config.samples")
@@ -469,7 +468,7 @@ def cmd_calibrate(args) -> int:
         market = _parse_fields(experiments.MarketModel, doc["market"], "config.market",
                                _MARKET_FIELDS)
         n = _number(doc.get("n_samples", 30), int, "config.n_samples",
-                    nonnegative=True)
+                    least=0)
         data = market.sample(n, np.random.default_rng(seed))
     else:
         raise SpecFileError(
@@ -500,11 +499,11 @@ def cmd_calibrate(args) -> int:
                                 field="config.portfolio.m")
         problem = experiments.PortfolioDecisionProblem(spec)
         if method == "holdout":
-            cal = calibrate_holdout(
-                data, problem, grid,
-                split=_number(doc.get("split", 0.8), float, "config.split"),
-                seed=seed,
-            )
+            split = _number(doc.get("split", 0.8), float, "config.split")
+            if not 0.0 < split < 1.0:
+                raise SpecFileError("expected a fraction strictly between 0 and 1",
+                                    field="config.split")
+            cal = calibrate_holdout(data, problem, grid, split=split, seed=seed)
         else:
             cal = calibrate_kfold(data, problem, grid, k=folds, seed=seed)
         result["radius"] = cal.radius
@@ -547,9 +546,9 @@ def cmd_experiment(args) -> int:
     base = cls.full_scale() if args.full_scale else cls()
     config = dataclasses.replace(
         base,
-        runs=_setting(args, "runs", doc, "runs", int, base.runs),
+        runs=_setting(args, "runs", doc, "runs", int, base.runs, least=1),
         master_seed=_setting(args, "seed", doc, "master_seed", int,
-                             base.master_seed, nonnegative=True),
+                             base.master_seed, least=0),
     )
     paths = run(config).write(out_dir)
     listing = {name: str(path) for name, path in sorted(paths.items())}

@@ -35,12 +35,11 @@ from .errors import (
     DimensionMismatch,
     EmptySupport,
     HypothesisViolated,
-    SampleOutsideSupport,
     WdroError,
 )
 from .geometry import GroundNorm, Polytope, dual_norm_value, nearest_point
 from .lp import EQ, LE, LinearProgram, _check_dense_size
-from .reformulate import _Assembler
+from .reformulate import _Assembler, _admit, _check_samples
 from .simplex import solve_lp
 
 __all__ = [
@@ -162,18 +161,14 @@ class PortfolioResult:
 
 
 def _admit_portfolio(spec: PortfolioSpec, data, epsilon: float) -> np.ndarray:
-    """The samples as an (N, m) array, once checked: at least one sample,
-    finite, ``spec.m`` assets, and a finite, nonnegative radius."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    """The samples as an (N, m) array, admitted as a ``DroProblem`` admits
+    them: checked by ``_check_samples``, then projected onto the support
+    or refused by ``_admit``, whose warning names the line that called
+    this function's caller."""
+    data = _check_samples(data, epsilon)
     if data.shape[1] != spec.m:
         raise DimensionMismatch("data dimension does not match asset count")
-    if data.shape[0] == 0:
-        raise DimensionMismatch("need at least one sample")
-    if not np.all(np.isfinite(data)):
-        raise DimensionMismatch("samples must be finite")
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise DimensionMismatch("radius must be finite and nonnegative")
-    return data
+    return _admit(data, spec.resolved_support(), slice(None), spec.ground_norm)
 
 
 def build_portfolio_dro(
@@ -186,11 +181,6 @@ def build_portfolio_dro(
     data = _admit_portfolio(spec, data, epsilon)
     N, m = data.shape
     support = spec.resolved_support()
-    worst = float(np.max(support.violation(data)))
-    if worst > 1e-9:
-        raise SampleOutsideSupport(
-            f"a sample violates the support by {worst:.3e}"
-        )
     a_coef, b_coef = spec.pieces()
 
     a = _Assembler(epsilon, spec.ground_norm)
@@ -316,8 +306,8 @@ def solve_portfolio(
     data, or one mapped onto this data's program (as
     :class:`PortfolioDecisionProblem` does on the free support); the
     solve starts from it (see :func:`wdro.simplex.solve_lp`)."""
+    data = _admit_portfolio(spec, data, epsilon)
     if spec.resolved_support().is_free:
-        data = _admit_portfolio(spec, data, epsilon)
         return _solve_portfolio_free(spec, data, epsilon, warm)
     return _portfolio_result(build_portfolio_dro(spec, data, epsilon), spec.m, warm)
 
@@ -499,7 +489,8 @@ def fast_uq_bounds(region: Polytope, norm: GroundNorm = GroundNorm.L1):
     Distances to the region are LPs cached per sample, so sweeping radii
     or folds solves one LP per distinct sample outside the region;
     distances to the complement are closed form.  Matches the generic
-    programs (equality-tested on small instances).
+    programs (equality-tested on small instances).  Both evaluators check
+    their samples, radius and sample dimension as a ``DroProblem`` does.
     """
     if region.n_rows and not region.nonempty():
         raise HypothesisViolated("the region is empty")
@@ -542,14 +533,20 @@ def fast_uq_bounds(region: Polytope, norm: GroundNorm = GroundNorm.L1):
         vals = lams * eps + np.maximum(0.0, 1.0 - np.outer(lams, d)).mean(axis=1)
         return float(vals.min())
 
+    def admitted(samples, eps) -> np.ndarray:
+        X = _check_samples(samples, eps)
+        if X.shape[1] != region.dim:
+            raise DimensionMismatch("sample dimension does not match the region")
+        return X
+
     def j_plus(samples, eps) -> float:
-        X = np.atleast_2d(np.asarray(samples, dtype=float))
+        X = admitted(samples, eps)
         return breakpoint_min(float(eps), region_distances(X))
 
     def j_minus(samples, eps) -> float:
+        X = admitted(samples, eps)
         if region.is_free:
             return 1.0  # the complement is empty
-        X = np.atleast_2d(np.asarray(samples, dtype=float))
         return 1.0 - breakpoint_min(float(eps), complement_distances(X))
 
     return j_plus, j_minus

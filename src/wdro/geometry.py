@@ -4,8 +4,9 @@ Transport costs are measured in a ground norm on the sample space; only
 the 1-norm and the max-norm are supported because only those keep every
 downstream program linear.  Supports are polytopes ``{x : Cx <= d}``; an
 empty ``C`` means the whole space.  Every LP question about a polytope
-(nonempty, nearest point, meets a halfspace, bounded, recession ray) is
-one call to ``_polytope_lp``.
+that asks for a feasible point (nonempty, meets a halfspace, bounded,
+recession ray) is one call to ``_polytope_lp``.  The nearest point is
+read off the LP dual of the distance, which starts feasible.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     TooLarge,
     UnboundedPolyhedron,
 )
-from .lp import LpBuilder, LpSolution
+from .lp import LE, LinearProgram, LpBuilder, LpSolution
 from .simplex import solve_lp
 
 __all__ = [
@@ -131,41 +132,46 @@ class Polytope:
         return self.is_free or _polytope_lp(self.C, self.d).status == "optimal"
 
 
-def _polytope_lp(C: np.ndarray, d: np.ndarray, cost=None, near=None) -> LpSolution:
-    """The one LP over {x : Cx <= d} behind every polytope question.
-
-    Minimizes <cost, x> (zero when ``cost`` is None) or, with
-    ``near = (point, norm)``, the ground-norm distance from ``point``,
-    whose rows come before the polytope's.  x occupies the first columns
-    of the solution.
-    """
-    b = LpBuilder("min")
-    dim = C.shape[1]
-    x = b.vars("x", dim)
-    if near is not None:
-        point, norm = near
-        t = b.var("t", lb=0.0)
-        b.set_objective({t: 1.0})
-        b.add_norm_le([({x[j]: 1.0}, -point[j]) for j in range(dim)], t, norm)
-    elif cost is not None:
-        b.set_objective(dict(zip(x, cost)))
-    for i in range(C.shape[0]):
-        b.add_le({x[j]: C[i, j] for j in range(dim)}, d[i])
-    return solve_lp(b.build())
+def _polytope_lp(C: np.ndarray, d: np.ndarray, cost=None) -> LpSolution:
+    """min <cost, x> (zero when ``cost`` is None) over {x : Cx <= d}."""
+    m, n = C.shape
+    return solve_lp(LinearProgram(
+        sense="min",
+        costs=np.zeros(n) if cost is None else cost,
+        row_coeffs=C,
+        row_relations=(LE,) * m,
+        row_rhs=d,
+        lower=np.full(n, -inf),
+        upper=np.full(n, inf),
+    ))
 
 
 def nearest_point(p: Polytope, point: np.ndarray, norm: GroundNorm) -> tuple[float, np.ndarray]:
     """Ground-norm distance from ``point`` to the polytope and the closest
-    point achieving it."""
+    point achieving it.
+
+    Solves the LP dual of the distance, max <C point - d, mu> over mu >= 0
+    with ||C'mu||_dual <= 1.  The point enters only the costs, so the
+    slack basis mu = 0 is feasible and no phase one runs.  With w+ and w-
+    the duals of the norm row pairs, which ``add_norm_le`` writes first,
+    the closest point is point - (w+ - w-).  An unbounded dual means an
+    empty polytope.
+    """
     point = np.asarray(point, dtype=float).reshape(-1)
     if point.shape[0] != p.dim:
         raise DimensionMismatch("point length does not match support dimension")
     if p.is_free:
         return 0.0, point.copy()
-    sol = _polytope_lp(p.C, p.d, near=(point, norm))
+    b = LpBuilder("max")
+    mu = b.vars("mu", p.n_rows, lb=0.0)
+    one = b.var("one", lb=1.0, ub=1.0)
+    b.set_objective(dict(zip(mu, p.C @ point - p.d)))
+    b.add_norm_le([(dict(zip(mu, col)), 0.0) for col in p.C.T], one, norm.dual)
+    sol = solve_lp(b.build())
     if sol.status != "optimal":
         raise EmptySupport("support polytope is empty")
-    return sol.objective_value, sol.primal[: p.dim].copy()
+    w = sol.duals[: 2 * p.dim]
+    return sol.objective_value, point - (w[0::2] - w[1::2])
 
 
 def _reduce_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-10):

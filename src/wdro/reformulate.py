@@ -233,10 +233,25 @@ class SeparableLoss:
 Loss = PiecewiseAffineLoss | EventIndicator | TwoStageLoss | SeparableLoss
 
 
+def _check_samples(samples, radius: float = 0.0) -> np.ndarray:
+    """``samples`` as a 2-d float array, once checked: at least one sample,
+    every entry finite, and ``radius`` finite and nonnegative."""
+    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    if X.shape[0] == 0:
+        raise DimensionMismatch("at least one sample required")
+    if not np.all(np.isfinite(X)):
+        raise DimensionMismatch("samples must be finite")
+    if not (np.isfinite(radius) and radius >= 0.0):
+        raise DimensionMismatch("radius must be finite and nonnegative")
+    return X
+
+
 def _admit(X: np.ndarray, support: Polytope, cols: slice, norm: GroundNorm) -> np.ndarray:
     """``X`` with its columns ``cols`` in ``support``, projecting rows that
-    violate it by at most ``MEMBERSHIP_TOL``; called from
-    ``DroProblem.__post_init__``, so the warning names the caller's line."""
+    violate it by at most ``MEMBERSHIP_TOL``.  The warning names the line
+    three frames up: the one that made a ``DroProblem`` (through its
+    ``__init__`` and ``__post_init__``) or called a portfolio entry point
+    (through the entry point and ``experiments._admit_portfolio``)."""
     viol = support.violation(X[:, cols])
     worst = float(viol.max())
     if worst <= 1e-12:
@@ -280,15 +295,9 @@ class DroProblem:
     loss: Loss
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        if X.shape[0] == 0:
-            raise DimensionMismatch("at least one sample required")
-        if not np.all(np.isfinite(X)):
-            raise DimensionMismatch("samples must be finite")
+        X = _check_samples(self.samples, self.radius)
         if X.shape[1] != self.support.dim:
             raise DimensionMismatch("sample dimension does not match support")
-        if not (np.isfinite(self.radius) and self.radius >= 0.0):
-            raise DimensionMismatch("radius must be finite and nonnegative")
         loss_dim = getattr(self.loss, "dim", None)
         if isinstance(self.loss, EventIndicator):
             loss_dim = self.loss.region.dim

@@ -269,6 +269,35 @@ class TestFolds:
             calibrate_uq_kfold(np.zeros((4, 1)), region, k=5, bound_fns=bounds)
 
 
+class TestSampleCheck:
+    """The calibrators check their samples as a DroProblem does before
+    any fold is made."""
+
+    REGION = Polytope([[1.0]], [0.0], 1)
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "empty"])
+    @pytest.mark.parametrize(
+        "calibrate",
+        [
+            lambda X: calibrate_holdout(X, RadiusSeeking(0.1), grid=[0.1]),
+            lambda X: calibrate_kfold(X, RadiusSeeking(0.1), grid=[0.1], k=2),
+            lambda X: calibrate_uq_kfold(
+                X, TestSampleCheck.REGION, k=2,
+                bound_fns=fast_uq_bounds(TestSampleCheck.REGION),
+            ),
+        ],
+        ids=["holdout", "kfold", "uq-kfold"],
+    )
+    def test_calibrators_refuse_bad_samples(self, calibrate, fault):
+        X = np.linspace(-1.0, 1.0, 10).reshape(-1, 1)
+        if fault == "empty":
+            X = X[:0]
+        else:
+            X[3, 0] = np.nan if fault == "nan" else np.inf
+        with pytest.raises(DimensionMismatch, match="sample"):
+            calibrate(X)
+
+
 class TestUqKFold:
     def test_region_containing_everything_has_no_lower_bound(self):
         # 0*x <= 1 always holds: its complement is empty and unreachable,

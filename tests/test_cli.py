@@ -538,6 +538,17 @@ LOOSE_INPUTS = [
                    "region": {"C": [[1.0]], "d": [True]}}, "config.region.d"),
 ]
 
+# counts and fractions out of range, which the library once refused with
+# no field named
+RANGE_INPUTS = [
+    ("calibrate", {"method": "kfold", "market": {}, "folds": 1}, "config.folds"),
+    ("calibrate --folds 0", {"method": "kfold", "market": {}}, "--folds"),
+    ("calibrate", {"method": "holdout", "market": {}, "split": 1.5}, "config.split"),
+    ("calibrate", {"method": "holdout", "market": {}, "split": 0}, "config.split"),
+    ("experiment --runs 0", {"study": "uq", "out_dir": "x"}, "--runs"),
+    ("experiment", {"study": "uq", "runs": -2, "out_dir": "x"}, "config.runs"),
+]
+
 # inputs checked only after the work, or not at all, before output paths
 # and the portfolio's asset count were read up front; spec.json is the
 # spec file itself
@@ -557,11 +568,13 @@ LATE_INPUTS = [
 
 @pytest.mark.parametrize(
     "command, config, field",
-    MALFORMED_NUMBERS + INEXACT_NUMBERS + BOOLEAN_NUMBERS + LOOSE_INPUTS + LATE_INPUTS,
+    MALFORMED_NUMBERS + INEXACT_NUMBERS + BOOLEAN_NUMBERS + LOOSE_INPUTS
+    + RANGE_INPUTS + LATE_INPUTS,
     ids=[field for _, _, field in MALFORMED_NUMBERS]
     + [f"{field}-inexact" for _, _, field in INEXACT_NUMBERS]
     + [f"{field}-bool" for _, _, field in BOOLEAN_NUMBERS]
     + [f"{command.split()[0]}:{field}-loose" for command, _, field in LOOSE_INPUTS]
+    + [f"{command.split()[0]}:{field}-range" for command, _, field in RANGE_INPUTS]
     + [f"{command.split()[0]}:{field}-late" for command, _, field in LATE_INPUTS],
 )
 def test_malformed_config_number_names_the_field(

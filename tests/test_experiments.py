@@ -22,6 +22,7 @@ import wdro.simplex as simplex
 from wdro.calibrate import calibrate_kfold, calibrate_uq_kfold
 from wdro.errors import (
     DimensionMismatch,
+    EmptySupport,
     HypothesisViolated,
     SampleOutsideSupport,
     WdroError,
@@ -178,6 +179,30 @@ class TestJointVersusReduced:
         spec = PortfolioSpec(m=2, support=sup)
         with pytest.raises(SampleOutsideSupport):
             build_portfolio_dro(spec, np.array([[0.5, -0.5]]), 0.1)
+
+    @pytest.mark.parametrize("route", [solve_portfolio, build_portfolio_dro],
+                             ids=["solve", "build"])
+    def test_slightly_outside_sample_is_projected(self, route):
+        # the rule of DroProblem: a violation up to MEMBERSHIP_TOL is
+        # projected with one warning naming the caller's line
+        spec = PortfolioSpec(m=2, support=Polytope.box(-np.ones(2), np.ones(2)))
+        data = np.array([[1.0 + 1e-8, 0.5], [0.0, -0.25]])
+        with pytest.warns(UserWarning, match="projected") as record:
+            got = route(spec, data, 0.1)
+        assert [w.filename for w in record] == [__file__]
+        if route is solve_portfolio:
+            inside = solve_portfolio(spec, np.array([[1.0, 0.5], [0.0, -0.25]]), 0.1)
+            assert got.certificate == pytest.approx(inside.certificate, abs=1e-12)
+
+    @pytest.mark.parametrize("route", [solve_portfolio, build_portfolio_dro],
+                             ids=["solve", "build"])
+    def test_support_faults_are_refused(self, route):
+        box = PortfolioSpec(m=1, support=Polytope.box([-1.0], [1.0]))
+        with pytest.raises(SampleOutsideSupport):
+            route(box, np.array([[1.0 + 1e-5]]), 0.1)
+        empty = PortfolioSpec(m=1, support=Polytope([[1.0], [-1.0]], [0.0, -1.0], 1))
+        with pytest.raises(EmptySupport):
+            route(empty, np.array([[0.5]]), 0.1)
 
     @pytest.mark.parametrize("boxed", [False, True], ids=["free", "joint"])
     def test_both_routes_check_the_asset_count(self, boxed):
@@ -551,6 +576,22 @@ class TestFastUqBounds:
             prev_hi, prev_lo = hi, lo
         assert j_plus(X, 50.0) == pytest.approx(1.0)
         assert j_minus(X, 50.0) == pytest.approx(0.0)
+
+    def test_evaluators_refuse_bad_samples_and_radii(self):
+        # a NaN sample once counted as inside for the upper bound and
+        # turned the lower bound into NaN
+        j_plus, j_minus = fast_uq_bounds(Polytope([[1.0]], [0.0], 1))
+        X = np.linspace(-1.0, 1.0, 10).reshape(-1, 1)
+        bad = X.copy()
+        bad[3, 0] = np.nan
+        for bound in (j_plus, j_minus):
+            with pytest.raises(DimensionMismatch, match="finite"):
+                bound(bad, 0.1)
+            for eps in (-0.1, np.nan, np.inf):
+                with pytest.raises(DimensionMismatch, match="radius"):
+                    bound(X, eps)
+            with pytest.raises(DimensionMismatch, match="dimension"):
+                bound(np.zeros((3, 2)), 0.1)
 
     def test_empty_region_is_rejected(self):
         empty = Polytope(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]), 1)

@@ -65,3 +65,9 @@ def test_star_import_and_dir_list_the_whole_api():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         wdro.no_such_name
+
+
+def test_lazy_names_are_the_experiments_exports():
+    from wdro import experiments
+
+    assert wdro._EXPERIMENTS == set(experiments.__all__)

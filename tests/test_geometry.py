@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import solve_with_scipy
 
-from wdro import geometry
+from wdro import geometry, simplex
 from wdro.errors import (
     DimensionMismatch,
+    EmptySupport,
     NormUnsupported,
     TooLarge,
     UnboundedPolyhedron,
@@ -110,6 +112,59 @@ class TestNearestPoint:
         dist, proj = nearest_point(p, np.array([0.25, 0.75]), L1)
         assert dist == pytest.approx(0.0, abs=1e-10)
         assert np.allclose(proj, [0.25, 0.75], atol=1e-8)
+
+
+def primal_distance_lp(p: Polytope, point, norm):
+    """min ||x - point|| over {Cx <= d}, the program nearest_point dualizes."""
+    b = LpBuilder("min")
+    x = b.vars("x", p.dim)
+    t = b.var("t", lb=0.0)
+    b.set_objective({t: 1.0})
+    b.add_norm_le([({x[j]: 1.0}, -point[j]) for j in range(p.dim)], t, norm)
+    for row, rhs in zip(p.C, p.d):
+        b.add_le(dict(zip(x, row)), rhs)
+    return b.build()
+
+
+class TestNearestPointOnPolytopes:
+    """General (non-box) polytopes, checked against HiGHS on the primal
+    distance program."""
+
+    @pytest.fixture(autouse=True)
+    def no_phase_one(self, monkeypatch):
+        # the dual's slack basis is feasible, so phase one never runs
+        def refuse(engine):
+            raise AssertionError("phase one ran")
+
+        monkeypatch.setattr(simplex._Engine, "phase_one", refuse)
+
+    @pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+    def test_random_polytopes_against_highs(self, norm):
+        rng = np.random.default_rng(18)
+        for _ in range(40):
+            dim = int(rng.integers(1, 5))
+            C = rng.normal(size=(int(rng.integers(1, 7)), dim))
+            center = rng.normal(size=dim)
+            p = Polytope(C, C @ center + rng.uniform(0.1, 1.0, C.shape[0]), dim)
+            point = center + rng.normal(scale=3.0, size=dim)
+            dist, proj = nearest_point(p, point, norm)
+            assert np.all(p.C @ proj <= p.d + 1e-9)
+            assert norm_value(proj - point, norm) == pytest.approx(dist, abs=1e-9)
+            status, value, _ = solve_with_scipy(primal_distance_lp(p, point, norm))
+            assert status == "optimal"
+            assert dist == pytest.approx(value, rel=1e-8, abs=1e-9)
+
+    @pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+    def test_empty_polytope_raises(self, norm):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            dim = int(rng.integers(1, 4))
+            a = rng.normal(size=dim)
+            # a'x <= -1 and a'x >= 1 under some other rows
+            C = np.vstack([rng.normal(size=(2, dim)), a, -a])
+            d = np.concatenate([rng.uniform(0.0, 1.0, 2), [-1.0, -1.0]])
+            with pytest.raises(EmptySupport):
+                nearest_point(Polytope(C, d, dim), rng.normal(size=dim), norm)
 
 
 class TestEnumerateVertices:
