@@ -468,14 +468,13 @@ def cmd_calibrate(args) -> int:
         market = _parse_fields(experiments.MarketModel, doc["market"], "config.market",
                                _MARKET_FIELDS)
         n = _number(doc.get("n_samples", 30), int, "config.n_samples",
-                    least=0)
+                    least=1)
         data = market.sample(n, np.random.default_rng(seed))
     else:
         raise SpecFileError(
             "config needs either samples or market", field="config.samples"
         )
 
-    result = {"method": method, "seed": seed}
     if method == "uq_kfold":
         if "region" not in doc:
             raise SpecFileError(
@@ -484,12 +483,6 @@ def cmd_calibrate(args) -> int:
         region = _parse_polytope(
             doc["region"], data.shape[1], "config.region"
         )
-        cal = calibrate_uq_kfold(
-            data, region, grid, k=folds, seed=seed,
-            bound_fns=experiments.fast_uq_bounds(region),
-        )
-        result["bounds"] = [dataclasses.asdict(b) for b in cal.bounds]
-        result["radius"] = cal.radius
     else:
         spec = _parse_fields(experiments.PortfolioSpec, doc.get("portfolio", {}),
                              "config.portfolio", _PORTFOLIO_FIELDS,
@@ -497,12 +490,29 @@ def cmd_calibrate(args) -> int:
         if spec.m != data.shape[1]:
             raise SpecFileError(f"the data have {data.shape[1]} assets, not {spec.m}",
                                 field="config.portfolio.m")
-        problem = experiments.PortfolioDecisionProblem(spec)
         if method == "holdout":
             split = _number(doc.get("split", 0.8), float, "config.split")
             if not 0.0 < split < 1.0:
                 raise SpecFileError("expected a fraction strictly between 0 and 1",
                                     field="config.split")
+    need = 2 if method == "holdout" else folds
+    if data.shape[0] < need:
+        raise SpecFileError(
+            f"{method} needs at least {need} samples, got {data.shape[0]}",
+            field="config.samples" if "samples" in doc else "config.n_samples",
+        )
+
+    result = {"method": method, "seed": seed}
+    if method == "uq_kfold":
+        cal = calibrate_uq_kfold(
+            data, region, grid, k=folds, seed=seed,
+            bound_fns=experiments.fast_uq_bounds(region),
+        )
+        result["bounds"] = [dataclasses.asdict(b) for b in cal.bounds]
+        result["radius"] = cal.radius
+    else:
+        problem = experiments.PortfolioDecisionProblem(spec)
+        if method == "holdout":
             cal = calibrate_holdout(data, problem, grid, split=split, seed=seed)
         else:
             cal = calibrate_kfold(data, problem, grid, k=folds, seed=seed)

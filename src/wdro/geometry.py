@@ -25,7 +25,7 @@ from .errors import (
     TooLarge,
     UnboundedPolyhedron,
 )
-from .lp import LE, LinearProgram, LpBuilder, LpSolution
+from .lp import LE, LinearProgram, LpBuilder, LpSolution, _norm_pair_duals
 from .simplex import solve_lp
 
 __all__ = [
@@ -152,10 +152,10 @@ def nearest_point(p: Polytope, point: np.ndarray, norm: GroundNorm) -> tuple[flo
 
     Solves the LP dual of the distance, max <C point - d, mu> over mu >= 0
     with ||C'mu||_dual <= 1.  The point enters only the costs, so the
-    slack basis mu = 0 is feasible and no phase one runs.  With w+ and w-
-    the duals of the norm row pairs, which ``add_norm_le`` writes first,
-    the closest point is point - (w+ - w-).  An unbounded dual means an
-    empty polytope.
+    slack basis mu = 0 is feasible and no phase one runs.  The closest
+    point is point - (w+ - w-), with w+ - w- the duals of the norm row
+    pairs as ``lp._norm_pair_duals`` reads them.  An unbounded dual means
+    an empty polytope.
     """
     point = np.asarray(point, dtype=float).reshape(-1)
     if point.shape[0] != p.dim:
@@ -166,12 +166,11 @@ def nearest_point(p: Polytope, point: np.ndarray, norm: GroundNorm) -> tuple[flo
     mu = b.vars("mu", p.n_rows, lb=0.0)
     one = b.var("one", lb=1.0, ub=1.0)
     b.set_objective(dict(zip(mu, p.C @ point - p.d)))
-    b.add_norm_le([(dict(zip(mu, col)), 0.0) for col in p.C.T], one, norm.dual)
+    first = b.add_norm_le([(dict(zip(mu, col)), 0.0) for col in p.C.T], one, norm.dual)
     sol = solve_lp(b.build())
     if sol.status != "optimal":
         raise EmptySupport("support polytope is empty")
-    w = sol.duals[: 2 * p.dim]
-    return sol.objective_value, point - (w[0::2] - w[1::2])
+    return sol.objective_value, point - _norm_pair_duals(sol, first, p.dim)
 
 
 def _reduce_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-10):

@@ -227,19 +227,21 @@ class LpBuilder:
     def set_objective(self, terms: Mapping[Var, float]) -> None:
         self._obj = {v.index: float(t) for v, t in terms.items()}
 
-    def add_row(self, terms: Mapping[Var, float], rel: str, rhs: float) -> None:
+    def add_row(self, terms: Mapping[Var, float], rel: str, rhs: float) -> int:
+        """Append one row and return its index."""
         self._rows.append({v.index: float(t) for v, t in terms.items() if t != 0.0})
         self._rels.append(rel)
         self._rhs.append(float(rhs))
+        return len(self._rows) - 1
 
-    def add_le(self, terms: Mapping[Var, float], rhs: float) -> None:
-        self.add_row(terms, LE, rhs)
+    def add_le(self, terms: Mapping[Var, float], rhs: float) -> int:
+        return self.add_row(terms, LE, rhs)
 
-    def add_ge(self, terms: Mapping[Var, float], rhs: float) -> None:
-        self.add_row(terms, GE, rhs)
+    def add_ge(self, terms: Mapping[Var, float], rhs: float) -> int:
+        return self.add_row(terms, GE, rhs)
 
-    def add_eq(self, terms: Mapping[Var, float], rhs: float) -> None:
-        self.add_row(terms, EQ, rhs)
+    def add_eq(self, terms: Mapping[Var, float], rhs: float) -> int:
+        return self.add_row(terms, EQ, rhs)
 
     def add_norm_le(
         self,
@@ -247,17 +249,20 @@ class LpBuilder:
         bound: Var,
         norm: GroundNorm,
         tag: str = "",
-    ) -> None:
+    ) -> int:
         """Rows enforcing ||v||_norm <= bound for the affine vector v whose
-        component j is ``exprs[j]`` (a {var: coeff} mapping plus constant).
+        component j is ``exprs[j]`` (a {var: coeff} mapping plus constant);
+        returns the first row's index.
 
-        Each component gets the row pair v_j <= u_j, -v_j <= u_j.  For the
-        max-norm u_j is ``bound``; for the 1-norm it is an auxiliary
-        variable carrying |v_j|, and a single row sums them.  Callers
-        enforcing a dual-norm constraint pass the dual norm.
+        Each component gets the row pair v_j <= u_j, -v_j <= u_j; the pairs
+        come first, where ``_norm_pair_duals`` reads them.  For the max-norm
+        u_j is ``bound``; for the 1-norm it is an auxiliary variable
+        carrying |v_j|, and a single row sums them.  Callers enforcing a
+        dual-norm constraint pass the dual norm.
         """
         l1 = norm.value != "linf"
         bounds = self.vars(f"abs{tag}", len(exprs), lb=0.0) if l1 else [bound] * len(exprs)
+        first = len(self._rows)
         for (terms, const), u in zip(exprs, bounds):
             for sign in (1.0, -1.0):
                 row = {v: sign * t for v, t in terms.items()}
@@ -265,6 +270,7 @@ class LpBuilder:
                 self.add_le(row, -sign * const)
         if l1:
             self.add_le({u: 1.0 for u in bounds} | {bound: -1.0}, 0.0)
+        return first
 
     def build(self) -> LinearProgram:
         n, m = len(self._names), len(self._rows)
@@ -286,6 +292,14 @@ class LpBuilder:
             upper=np.array(self._upper, dtype=float),
             names=tuple(self._names),
         )
+
+
+def _norm_pair_duals(sol: LpSolution, first: int, dim: int) -> np.ndarray:
+    """w+ - w- for the ``dim`` row pairs that ``add_norm_le`` wrote from
+    row ``first``: per component, the dual of v_j <= u_j minus the dual of
+    -v_j <= u_j."""
+    w = sol.duals[first : first + 2 * dim]
+    return w[0::2] - w[1::2]
 
 
 def _fmt(x: float) -> str:

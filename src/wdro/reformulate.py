@@ -107,17 +107,18 @@ class PiecewiseAffineLoss:
     def dim(self) -> int:
         return self.slopes.shape[1]
 
-    def deduplicated(self) -> "PiecewiseAffineLoss":
-        """Drop pieces whose (slope, intercept) replicates an earlier one."""
+    def _kept(self) -> list[int]:
+        """Indices of the pieces whose (slope, intercept) no earlier piece has."""
         keep: list[int] = []
         for k in range(self.n_pieces):
-            dup = any(
-                np.array_equal(self.slopes[k], self.slopes[j])
-                and self.intercepts[k] == self.intercepts[j]
-                for j in keep
-            )
-            if not dup:
+            if not any(np.array_equal(self.slopes[k], self.slopes[j])
+                       and self.intercepts[k] == self.intercepts[j] for j in keep):
                 keep.append(k)
+        return keep
+
+    def deduplicated(self) -> "PiecewiseAffineLoss":
+        """Drop pieces whose (slope, intercept) replicates an earlier one."""
+        keep = self._kept()
         if len(keep) == self.n_pieces:
             return self
         return PiecewiseAffineLoss(self.slopes[keep], self.intercepts[keep], self.kind)
@@ -349,6 +350,9 @@ class _Assembler:
     key, emitted when the group of epigraph variables closes.  One that is
     a nonnegative multiple of a fixed vector c (``scale``) becomes the
     single row ||c||_dual * scale <= lam.
+
+    ``norm_rows`` records the first dual-norm row of each block under its
+    tag, or of each shared key under that key, for reading the duals.
     """
 
     def __init__(self, radius: float, norm: GroundNorm):
@@ -358,6 +362,7 @@ class _Assembler:
         self.lam: Var | None = None
         self.obj: dict = {}
         self._shared: dict = {}
+        self.norm_rows: dict[str, int] = {}
 
     def epigraph(self, n: int, name: str = "s", lb: float = -np.inf) -> list[Var]:
         """A group of n epigraph variables with cost 1/n each.  The first
@@ -373,7 +378,7 @@ class _Assembler:
     def block(self, s_i, support, xi, terms, rhs, part, tag, shared=None, scale=None):
         """The epigraph row terms + <gamma, d - C xi> - s_i <= rhs and the
         dual-norm rows ||C'gamma + part||_dual <= lam of one block; ``tag``
-        names its gamma and norm auxiliaries."""
+        names its gamma and norm auxiliaries.  Returns the epigraph row."""
         b = self.b
         row = dict(terms)
         if support.is_free:
@@ -387,18 +392,19 @@ class _Assembler:
                 for j, (t, c) in enumerate(part)
             ]
         row[s_i] = -1.0
-        b.add_le(row, rhs)
+        epigraph = b.add_le(row, rhs)
         if support.is_free and shared is not None:
             self._shared.setdefault(shared, part)
         elif support.is_free and scale is not None:
             c = np.array([t.get(scale, 0.0) for t, _ in part])
             b.add_le({scale: norm_value(c, self.dual), self.lam: -1.0}, 0.0)
         else:
-            b.add_norm_le(vec, self.lam, self.dual, tag=tag)
+            self.norm_rows[tag] = b.add_norm_le(vec, self.lam, self.dual, tag=tag)
+        return epigraph
 
     def _flush(self) -> None:
         for key, part in self._shared.items():
-            self.b.add_norm_le(part, self.lam, self.dual, tag=key)
+            self.norm_rows[key] = self.b.add_norm_le(part, self.lam, self.dual, tag=key)
         self._shared.clear()
 
     def build(self) -> LinearProgram:
@@ -407,17 +413,21 @@ class _Assembler:
         return self.b.build()
 
 
-def _max_affine_blocks(a: _Assembler, s, loss, support, samples, pre: str = "") -> None:
+def _max_affine_blocks(a: _Assembler, s, loss, support, samples, pre: str = "") -> list:
     """One block per (sample, piece) of a max-affine loss; its norm vector
-    -a_k does not depend on the sample."""
-    loss = loss.deduplicated()
+    -a_k does not depend on the sample, and a repeated piece gets no
+    blocks.  Returns (sample, piece of ``loss``, epigraph row, key of the
+    norm rows in ``a.norm_rows``) per block."""
+    keep, loss = loss._kept(), loss.deduplicated()
+    blocks = []
     for i, xi in enumerate(samples):
         base = loss.slopes @ xi + loss.intercepts
-        for k in range(loss.n_pieces):
-            a.block(
-                s[i], support, xi, {}, -base[k], [({}, -c) for c in loss.slopes[k]],
-                f"[{pre}{i},{k}]", shared=f"[{pre}{k}]",
-            )
+        for k, piece in enumerate(keep):
+            tag, key = f"[{pre}{i},{k}]", f"[{pre}{k}]"
+            row = a.block(s[i], support, xi, {}, -base[k],
+                          [({}, -c) for c in loss.slopes[k]], tag, shared=key)
+            blocks.append((i, piece, row, key if support.is_free else tag))
+    return blocks
 
 
 def build_max_affine(p: DroProblem) -> LinearProgram:
@@ -573,18 +583,26 @@ def build_two_stage(p: DroProblem) -> LinearProgram:
     return a.build()
 
 
+def _separable_program(p: DroProblem, sep: SeparableLoss) -> tuple[_Assembler, list]:
+    """The assembler of the reformulation of ``sep`` on the samples of
+    ``p`` and, per stage, its loss, support, columns and the blocks of
+    ``_max_affine_blocks``."""
+    a = _Assembler(p.radius, p.norm)
+    out = []
+    for t, ((loss, support), sl) in enumerate(zip(sep.stages, sep.stage_slices())):
+        s = a.epigraph(p.n_samples, f"s[{t}]")
+        blocks = _max_affine_blocks(a, s, loss, support, p.samples[:, sl], f"{t},")
+        out.append((loss, support, sl, blocks))
+    return a, out
+
+
 def build_separable(p: DroProblem) -> LinearProgram:
     """Stagewise-separable reformulation under the additive process norm:
     a single transport budget multiplier is shared across stages while
     epigraph and dual-norm rows are per (stage, sample, piece)."""
     if not isinstance(p.loss, SeparableLoss):
         raise DimensionMismatch("build_separable expects a separable loss")
-    sep = p.loss
-    a = _Assembler(p.radius, p.norm)
-    for t, ((loss, support), sl) in enumerate(zip(sep.stages, sep.stage_slices())):
-        s = a.epigraph(p.n_samples, f"s[{t}]")
-        _max_affine_blocks(a, s, loss, support, p.samples[:, sl], f"{t},")
-    return a.build()
+    return _separable_program(p, p.loss)[0].build()
 
 
 def convex_closed_form(p: DroProblem) -> float:

@@ -545,6 +545,12 @@ RANGE_INPUTS = [
     ("calibrate --folds 0", {"method": "kfold", "market": {}}, "--folds"),
     ("calibrate", {"method": "holdout", "market": {}, "split": 1.5}, "config.split"),
     ("calibrate", {"method": "holdout", "market": {}, "split": 0}, "config.split"),
+    ("calibrate", {"method": "kfold", "market": {}, "n_samples": 0}, "config.n_samples"),
+    ("calibrate", {"method": "kfold", "market": {}, "n_samples": 3}, "config.n_samples"),
+    ("calibrate", {"method": "kfold", "samples": [[0.1], [0.2], [0.3]]}, "config.samples"),
+    ("calibrate", {"method": "uq_kfold", "market": {}, "n_samples": 4, "folds": 5,
+                   "region": {"C": [[1.0] * 10], "d": [0.0]}}, "config.n_samples"),
+    ("calibrate", {"method": "holdout", "market": {}, "n_samples": 1}, "config.n_samples"),
     ("experiment --runs 0", {"study": "uq", "out_dir": "x"}, "--runs"),
     ("experiment", {"study": "uq", "runs": -2, "out_dir": "x"}, "config.runs"),
 ]

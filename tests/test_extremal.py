@@ -1,14 +1,17 @@
 """Worst-case distribution construction.
 
-The transport-form program and the epigraph reformulation are a dual
-pair, so their values must coincide; the returned distribution must sit
-inside the ball (checked with the exact transportation LP) and reproduce
-the objective as its expected loss whenever no mass escapes.
+The worst case is read off the duals of the reformulation that
+``worst_case_value`` solves, so its objective is that value.  The
+independent checks are HiGHS on the same reformulation against the
+expected loss at the atoms, the atoms' support membership and the exact
+transportation LP for ball membership.
 """
 
 import numpy as np
 import pytest
+from conftest import solve_with_scipy
 
+from wdro import extremal
 from wdro.errors import DimensionMismatch, EscapingMassPresent
 from wdro.extremal import (
     ATOM_TOL,
@@ -24,6 +27,7 @@ from wdro.reformulate import (
     SeparableLoss,
     build_max_affine,
     build_separable,
+    worst_case_value,
 )
 from wdro.simplex import solve_lp
 from wdro.wasserstein import DiscreteDistribution, merge_atoms, wasserstein_distance
@@ -276,3 +280,144 @@ class TestSeparable:
         p = DroProblem(np.zeros((1, 1)), Polytope.free(1), 0.1, L1, loss)
         with pytest.raises(DimensionMismatch):
             worst_case_distribution_separable(p)
+
+
+def support_instance(rng, kind, norm):
+    """A random max-affine problem on a box, the standard simplex, the
+    halfspace x >= -2 or the free space."""
+    m, N, K = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    loss = PiecewiseAffineLoss(rng.normal(size=(K, m)), rng.normal(size=K))
+    if kind == "box":
+        lo, hi = -1.0 - rng.random(m), 1.0 + rng.random(m)
+        support, X = Polytope.box(lo, hi), rng.uniform(lo, hi, size=(N, m))
+    elif kind == "simplex":
+        support = Polytope(np.vstack([-np.eye(m), np.ones((1, m))]),
+                           np.concatenate([np.zeros(m), [1.0]]), m)
+        raw = rng.random((N, m))
+        X = raw * rng.random((N, 1)) / raw.sum(axis=1, keepdims=True)
+    elif kind == "halfspace":
+        support, X = Polytope(-np.eye(m), np.full(m, 2.0), m), rng.uniform(-2, 2, size=(N, m))
+    else:
+        support, X = Polytope.free(m), rng.normal(size=(N, m))
+    return DroProblem(X, support, float(rng.uniform(0, 1)), norm, loss)
+
+
+def assert_in_support(points, support):
+    if not support.is_free:
+        slack = points @ support.C.T - support.d
+        assert np.all(slack <= 1e-9 * (1.0 + np.abs(support.d)))
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+    @pytest.mark.parametrize("kind", ["box", "simplex", "halfspace", "free"])
+    def test_expected_loss_and_support(self, kind, norm):
+        rng = np.random.default_rng(70)
+        attained = 0
+        for _ in range(12):
+            p = support_instance(rng, kind, norm)
+            res = worst_case_distribution(p)
+            assert res.objective_value == worst_case_value(p)
+            if res.escaping_mass > 0.0:
+                continue
+            attained += 1
+            status, value, _ = solve_with_scipy(build_max_affine(p))
+            assert status == "optimal"
+            points = res.distribution.points
+            expected = res.distribution.weights @ p.loss(points)
+            assert expected == pytest.approx(value, rel=1e-9, abs=1e-9)
+            assert_in_support(points, p.support)
+            assert verify_membership(res, p).within_ball
+        assert attained >= 4
+
+    @pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+    def test_two_stage_separable(self, norm):
+        rng = np.random.default_rng(71)
+        stage_supports = (Polytope.box([-2.0], [2.0]), Polytope(-np.eye(1), [2.0], 1))
+        for _ in range(6):
+            stages = tuple(
+                (PiecewiseAffineLoss(rng.normal(size=(2, 1)), rng.normal(size=2)), sup)
+                for sup in stage_supports
+            )
+            p = DroProblem(rng.uniform(-1, 1, size=(3, 2)), Polytope.free(2),
+                           float(rng.uniform(0.05, 0.6)), norm, SeparableLoss(stages))
+            res = worst_case_distribution_separable(p)
+            assert res.objective_value == worst_case_value(p)
+            if res.escaping_mass > 0.0:
+                continue
+            status, value, _ = solve_with_scipy(build_separable(p))
+            assert status == "optimal"
+            points = res.distribution.points
+            expected = res.distribution.weights @ p.loss(points)
+            assert expected == pytest.approx(value, rel=1e-9, abs=1e-9)
+            for (_, sup), sl in zip(stages, p.loss.stage_slices()):
+                assert_in_support(points[:, sl], sup)
+
+
+class TestOneProgram:
+    def assert_same_program(self, got, want):
+        assert got.sense == want.sense
+        for field in ("costs", "row_coeffs", "row_rhs", "lower", "upper"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.row_relations == want.row_relations
+
+    def solved_programs(self, monkeypatch, call, p):
+        seen = []
+
+        def spy(lp):
+            seen.append(lp)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(extremal, "solve_lp", spy)
+        call(p)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["box", "free"])
+    def test_max_affine_solves_the_reformulation_once(self, monkeypatch, kind):
+        p = support_instance(np.random.default_rng(72), kind, L1)
+        seen = self.solved_programs(monkeypatch, worst_case_distribution, p)
+        assert len(seen) == 1
+        self.assert_same_program(seen[0], build_max_affine(p))
+
+    def test_separable_solves_the_reformulation_once(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        stages = tuple(
+            (PiecewiseAffineLoss(rng.normal(size=(2, 1)), rng.normal(size=2)), sup)
+            for sup in (Polytope.box([-2.0], [2.0]), Polytope.free(1))
+        )
+        p = DroProblem(rng.uniform(-1, 1, size=(3, 2)), Polytope.free(2), 0.3, LINF,
+                       SeparableLoss(stages))
+        seen = self.solved_programs(monkeypatch, worst_case_distribution_separable, p)
+        assert len(seen) == 1
+        self.assert_same_program(seen[0], build_separable(p))
+
+
+class TestHeldMassCarriesLooseDisplacement:
+    def test_attained_worst_case_is_not_reported_as_escaping(self):
+        # the README problem: moving the sample at 1 to 1.5 attains 0.75 on
+        # the halfspace x >= -2
+        loss = PiecewiseAffineLoss([[0.0], [1.0]], [0.0, 0.0])
+        support = Polytope([[-1.0]], [2.0], 1)
+        p = DroProblem(np.array([[0.0], [1.0]]), support, 0.25, L1, loss)
+        res = worst_case_distribution(p)
+        assert res.objective_value == pytest.approx(0.75, abs=1e-12)
+        assert res.escaping_mass == 0.0
+        assert res.escape_rays == ()
+        order = np.argsort(res.distribution.points[:, 0])
+        np.testing.assert_allclose(res.distribution.points[order], [[0.0], [1.5]], atol=1e-12)
+        np.testing.assert_allclose(res.distribution.weights[order], [0.5, 0.5], atol=1e-12)
+        report = verify_membership(res, p)
+        assert report.distance == pytest.approx(0.25, abs=1e-12)
+        assert report.within_ball
+
+    def test_escape_ray_names_the_callers_piece(self):
+        # pieces 0 and 1 repeat each other, so the program has one block
+        # for both; the ray still names piece 2 of the loss as given
+        loss = PiecewiseAffineLoss([[0.0], [0.0], [1.0]], [0.0, 0.0, -1.0])
+        p = DroProblem(np.zeros((1, 1)), Polytope.free(1), 0.5, L1, loss)
+        res = worst_case_distribution(p)
+        assert len(res.escape_rays) == 1
+        ray = res.escape_rays[0]
+        assert (ray.sample, ray.piece) == (0, 2)
+        np.testing.assert_allclose(ray.direction, [1.0])
+        assert ray.slope == pytest.approx(1.0)
