@@ -22,7 +22,7 @@ import csv
 import json
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,8 @@ from .errors import (
 )
 from .geometry import GroundNorm, Polytope, dual_norm_value, nearest_point
 from .lp import EQ, LE, LinearProgram, _check_dense_size
-from .reformulate import _Assembler, _admit, _check_samples
-from .simplex import solve_lp
+from .reformulate import _Assembler, _admit, _check_radius, _check_samples
+from .simplex import _solve, _started, solve_lp
 
 __all__ = [
     "MarketModel",
@@ -178,7 +178,11 @@ def build_portfolio_dro(
     b_k tau + a_k <x, xi_i> + <gamma_ik, d - C xi_i> <= s_i with dual-norm
     rows ||C'gamma_ik - a_k x||_* <= lam and the simplex constraint on x.
     The weights occupy the first m coordinates of the optimizer."""
-    data = _admit_portfolio(spec, data, epsilon)
+    return _joint_program(spec, _admit_portfolio(spec, data, epsilon), epsilon)
+
+
+def _joint_program(spec: PortfolioSpec, data: np.ndarray, epsilon: float) -> LinearProgram:
+    """:func:`build_portfolio_dro` on admitted ``data``."""
     N, m = data.shape
     support = spec.resolved_support()
     a_coef, b_coef = spec.pieces()
@@ -197,7 +201,7 @@ def build_portfolio_dro(
     return a.build()
 
 
-def _solve_portfolio_free(spec, data, epsilon, warm=None):
+def _free_program(spec, data, epsilon) -> LinearProgram:
     """Free-support shortcut: the optimal multiplier is known to be
     max_k |a_k| times the dual norm of x, so the program shrinks to the
     sample mean-CVaR plus a norm-of-weights penalty.  Equivalent to the
@@ -211,8 +215,6 @@ def _solve_portfolio_free(spec, data, epsilon, warm=None):
     m + 2 + i and, in the engine's numbering, that row's slack.
     ``0.0 - data``, not ``-data``, keeps a zero sample at +0.0."""
     N, m = data.shape
-    a_coef, _ = spec.pieces()
-    kappa = float(np.max(np.abs(a_coef)))
     n_norm = m if spec.ground_norm is GroundNorm.L1 else 1
     n_rows, n_cols = 1 + N + n_norm, m + 2 + N
     _check_dense_size(n_rows, n_cols)
@@ -225,10 +227,11 @@ def _solve_portfolio_free(spec, data, epsilon, warm=None):
     A[N + 1 :, m + 1] = -1.0
     # a column at a time: np.mean(data, axis=0) sums in another order
     means = np.array([np.mean(data[:, j]) for j in range(m)])
-    costs = np.concatenate([0.0 - means, [spec.rho, epsilon * kappa], np.zeros(N)])
+    radius_cost = epsilon * _radius_cost(spec)
+    costs = np.concatenate([0.0 - means, [spec.rho, radius_cost], np.zeros(N)])
     costs[m + 2 :] = spec.rho / (spec.alpha * N)
     names = [f"x[{j}]" for j in range(m)] + ["tau", "t"] + [f"z[{i}]" for i in range(N)]
-    lp = LinearProgram(
+    return LinearProgram(
         sense="min",
         costs=costs,
         row_coeffs=A,
@@ -238,7 +241,29 @@ def _solve_portfolio_free(spec, data, epsilon, warm=None):
         upper=np.full(n_cols, np.inf),
         names=tuple(names),
     )
-    return _portfolio_result(lp, m, warm)
+
+
+def _radius_cost(spec: PortfolioSpec) -> float:
+    """The cost per unit radius of column m + 1, the one column whose cost
+    depends on the radius: the free program's t or the joint program's lam."""
+    if spec.resolved_support().is_free:
+        return float(np.max(np.abs(spec.pieces()[0])))
+    return 1.0
+
+
+def _portfolio_program(spec: PortfolioSpec, data: np.ndarray, epsilon: float) -> LinearProgram:
+    """The program :func:`solve_portfolio` solves on admitted ``data``."""
+    if spec.resolved_support().is_free:
+        return _free_program(spec, data, epsilon)
+    return _joint_program(spec, data, epsilon)
+
+
+def _at_radius(spec: PortfolioSpec, lp: LinearProgram, epsilon: float) -> LinearProgram:
+    """``lp``, a program of :func:`_portfolio_program`, at radius ``epsilon``:
+    the program that function builds there, bit for bit."""
+    costs = lp.costs.copy()
+    costs[spec.m + 1] = epsilon * _radius_cost(spec)
+    return replace(lp, costs=costs)
 
 
 def _map_free_basis(old_samples, old: PortfolioResult, samples):
@@ -284,9 +309,9 @@ def _map_free_basis(old_samples, old: PortfolioResult, samples):
     return np.flatnonzero(is_basic), upper
 
 
-def _portfolio_result(lp: LinearProgram, m: int, warm) -> PortfolioResult:
-    """Solve a portfolio program whose first m + 1 columns are (x, tau)."""
-    sol = solve_lp(lp, warm=warm)
+def _portfolio_result(sol, m: int) -> PortfolioResult:
+    """The result of a solve of a portfolio program whose first m + 1
+    columns are (x, tau)."""
     if not sol.is_optimal:
         raise WdroError(f"portfolio program ended {sol.status}")
     return PortfolioResult(
@@ -306,10 +331,8 @@ def solve_portfolio(
     data, or one mapped onto this data's program (as
     :class:`PortfolioDecisionProblem` does on the free support); the
     solve starts from it (see :func:`wdro.simplex.solve_lp`)."""
-    data = _admit_portfolio(spec, data, epsilon)
-    if spec.resolved_support().is_free:
-        return _solve_portfolio_free(spec, data, epsilon, warm)
-    return _portfolio_result(build_portfolio_dro(spec, data, epsilon), spec.m, warm)
+    lp = _portfolio_program(spec, _admit_portfolio(spec, data, epsilon), epsilon)
+    return _portfolio_result(solve_lp(lp, warm=warm), spec.m)
 
 
 def empirical_cvar(losses: np.ndarray, alpha: float) -> float:
@@ -359,37 +382,53 @@ class PortfolioDecisionProblem:
     """Calibration adapter: train at a radius, score by the validation
     sample mean-CVaR.
 
-    Every solve after the first starts warm, from the result last solved
-    at the nearest radius on the last training samples.  On equal
-    samples, as in a radius sweep, its basis is passed unchanged: only
-    the radius cost differs.  On the free support, other samples (a fold,
-    a holdout split, the full-data refit, the next run) get that basis
-    mapped onto their program by :func:`_map_free_basis`; the joint
-    program of a polytope support starts cold on them.  A start never
-    changes the answer beyond solver tolerance.  The memory lives on the
-    instance, so separate instances never share a starting point."""
+    The adapter keeps the simplex engine of its last training samples
+    alive.  On samples with the same bytes, as in a radius sweep, the
+    program differs only in the radius cost, so :meth:`train` reprices
+    that engine and phase two goes on from the last optimum, which stays
+    primal feasible; the samples are not admitted again, the radius is
+    checked before the engine is touched.  Other samples (a fold, a
+    holdout split, the full-data refit, the next run) are admitted once
+    and get a fresh engine.  On the free support it starts from the
+    result last solved at the nearest radius, its basis mapped onto their
+    program by :func:`_map_free_basis`; the joint program of a polytope
+    support starts cold.  Every answer passes the simplex's final check
+    against the program at its own radius, so neither route changes it
+    beyond solver tolerance.  A solve that raises leaves no engine to go
+    on from.  The memory lives on the instance, so separate instances
+    never share a starting point."""
 
     def __init__(self, spec: PortfolioSpec):
         self.spec = spec
+        self._given: np.ndarray | None = None
         self._samples: np.ndarray | None = None
+        self._engine = None
+        self._lp: LinearProgram | None = None
         self._by_radius: dict[float, PortfolioResult] = {}
 
     def train(self, samples, epsilon) -> PortfolioResult:
-        # admitted before a basis is mapped onto them
-        samples = _admit_portfolio(self.spec, np.array(samples, dtype=float), epsilon)
-        epsilon = float(epsilon)
-        same = self._samples is not None and np.array_equal(self._samples, samples)
-        warm = None
-        if self._by_radius:
-            near = self._by_radius[min(self._by_radius, key=lambda e: abs(e - epsilon))]
-            if same:
-                warm = near.basis
-            elif self.spec.resolved_support().is_free:
-                warm = _map_free_basis(self._samples, near, samples)
-        result = solve_portfolio(self.spec, samples, epsilon, warm)
-        if not same:
-            self._samples, self._by_radius = samples, {}
-        self._by_radius[epsilon] = result
+        spec, given = self.spec, np.array(samples, dtype=float)
+        if (self._engine is not None and given.shape == self._given.shape
+                and given.tobytes() == self._given.tobytes()):
+            _check_radius(epsilon)
+            engine, lp = self._engine, _at_radius(spec, self._lp, epsilon)
+            engine.reprice(lp)
+        else:
+            # admitted before a basis is mapped onto them
+            admitted = _admit_portfolio(spec, given, epsilon)
+            warm = None
+            if self._by_radius and spec.resolved_support().is_free:
+                near = self._by_radius[min(self._by_radius, key=lambda e: abs(e - epsilon))]
+                warm = _map_free_basis(self._samples, near, admitted)
+            # dropped first: two live engines would raise the peak memory
+            self._engine = self._lp = None
+            lp = _portfolio_program(spec, admitted, epsilon)
+            engine = _started(lp, warm)
+            self._given, self._samples, self._by_radius = given, admitted, {}
+        self._engine = None  # until the solve returns
+        result = _portfolio_result(_solve(engine, lp), spec.m)
+        self._engine, self._lp = engine, lp
+        self._by_radius[float(epsilon)] = result
         return result
 
     def score(self, decision: PortfolioResult, samples) -> float:

@@ -242,9 +242,13 @@ def _check_samples(samples, radius: float = 0.0) -> np.ndarray:
         raise DimensionMismatch("at least one sample required")
     if not np.all(np.isfinite(X)):
         raise DimensionMismatch("samples must be finite")
+    _check_radius(radius)
+    return X
+
+
+def _check_radius(radius: float) -> None:
     if not (np.isfinite(radius) and radius >= 0.0):
         raise DimensionMismatch("radius must be finite and nonnegative")
-    return X
 
 
 def _admit(X: np.ndarray, support: Polytope, cols: slice, norm: GroundNorm) -> np.ndarray:

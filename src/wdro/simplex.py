@@ -7,29 +7,30 @@ at zero).  Free variables are handled directly by the bounded-variable
 rules, never split into differences.
 
 The basis inverse is kept explicitly, updated by row operations after each
-pivot and rebuilt every ``REFACTOR_EVERY`` pivots, and each step costs what
-the basis holds rather than its full size.  The Wasserstein programs give
-every sample its own block of rows, so an optimal basis is mostly slack
-columns and B^-1 is mostly zeros.  A rebuild inverts only the block
-A[R, J], J the basic columns that are not slacks and R the rows no basic
-slack covers; the slack rows of B^-1 follow from it by one product.  A
-pivot updates only the columns of B^-1 where the pivot row is nonzero
-(all of them once more than an eighth are), which leaves every bit as a
-full rank-1 update would.  Slack columns are
-never stored: the engine keeps the structural columns and the artificial
-one, prices a slack as its cost minus its row dual, and reads B^-1 e_i
-off B^-1 itself.  B^-1 times a stored column uses that column's nonzero
-rows, and the row duals use the basic columns with nonzero cost.
+pivot and rebuilt once the engine has made ``REFACTOR_EVERY`` pivots since
+its last rebuild (counted across phases and repricings alike), and each
+step costs what the basis holds rather than its full size.  The
+Wasserstein programs give every sample its own block of rows, so an
+optimal basis is mostly slack columns and B^-1 is mostly zeros.  A rebuild
+inverts only the block A[R, J], J the basic columns that are not slacks
+and R the rows no basic slack covers; the slack rows of B^-1 follow from
+it by one product.  A pivot updates only the columns of B^-1 where the
+pivot row is nonzero (all of them once more than an eighth are), which
+leaves every bit as a full rank-1 update would.  Slack columns are never
+stored: the engine keeps the structural columns and the artificial one,
+prices a slack as its cost minus its row dual, and reads B^-1 e_i off B^-1
+itself.  B^-1 times a stored column uses that column's nonzero rows, and
+the row duals use the basic columns with nonzero cost.
 
-Every solve begins the same way: a basis is installed with each nonbasic
-column at a bound, its inverse is built, and basic values outside their
-bounds are clamped.  A basis whose block A[R, J] is not square or is
-singular is repaired before the inverse is built (``_Engine._repair``).
-The residual the clamping leaves goes into a single artificial column,
-and phase one drives that column from one to zero.  A cold solve starts
-from the slack basis, every other column at its finite bound nearest
-zero (or at zero when free); a positive phase-one optimum there is an
-infeasibility certificate.
+Every start from a basis goes the same way: the basis is installed with
+each nonbasic column at a bound, its inverse is built, and basic values
+outside their bounds are clamped.  A basis whose block A[R, J] is not
+square or is singular is repaired before the inverse is built
+(``_Engine._repair``).  The residual the clamping leaves goes into a
+single artificial column, and phase one drives that column from one to
+zero.  A cold solve starts from the slack basis, every other column at its
+finite bound nearest zero (or at zero when free); a positive phase-one
+optimum there is an infeasibility certificate.
 
 Pricing uses the largest-violation (Dantzig) rule with lowest-index
 tie-breaks, switching to Bland's least-index rule after
@@ -53,17 +54,25 @@ Warm starts.  An optimal solution carries its basis: the basic column of
 each row and the bound side of every nonbasic column.  Passed back as
 ``warm``, it is the basis the solve starts from in place of the slack
 basis.  It may be the basis of the same program, or one a caller has
-mapped from another program onto this one's columns: a radius sweep
-passes it unchanged (the radius enters a reformulation only as one cost
-coefficient, so the basis stays primal feasible and phase two starts
-next to the new optimum), and the portfolio adapter maps it across
-sample sets, keeping each kept sample's columns and covering an added
-sample's row by its hinge or its slack.  The engine does not care where
-a basis came from: the start drops repeated columns (np.linalg.inv can
-miss their singularity) and repairs a short, long or singular basis and
-an infeasible point as above.  A malformed basis (not 1-D integers, a
-column out of range, bound sides of the wrong length), or one with a
-positive phase-one optimum, is dropped for the slack basis.
+mapped from another program onto this one's columns, as the portfolio
+adapter does across sample sets, keeping each kept sample's columns and
+covering an added sample's row by its hinge or its slack.  The engine
+does not care where a basis came from: the start drops repeated columns
+(np.linalg.inv can miss their singularity) and repairs a short, long or
+singular basis and an infeasible point as above.  A malformed basis (not
+1-D integers, a column out of range, bound sides of the wrong length), or
+one with a positive phase-one optimum, is dropped for the slack basis.
+
+Repricing.  Every solve is a start (``_started``) followed by one loop
+(``_solve``): phase two, the final check, the restarts and the solution.
+When only the costs change, as along a radius sweep (the radius enters a
+reformulation only as one cost coefficient), a started engine needs no
+new start: ``_Engine.reprice`` takes the new costs and keeps the basis,
+its inverse and the point, which stay primal feasible (the parametric
+cost simplex of Gass and Saaty 1955), and ``_solve`` runs the same loop
+against the program at the new costs.  The engine copies the constraints
+once for the whole sweep, and B^-1 goes on being updated rather than
+rebuilt; the count towards the next rebuild carries over.
 """
 
 from __future__ import annotations
@@ -140,6 +149,10 @@ class _Engine:
         self.cost = np.concatenate([c_int, np.zeros(m + 1)])
         self.ph1_cost = np.zeros(n_tot)
         self.ph1_cost[self.art] = 1.0
+        # Whether the start ended with a positive phase-one optimum.
+        self.infeasible = False
+        # Pivots since B_inv was last rebuilt, over phases and solves alike.
+        self.since_rebuild = 0
         # Unbounded-exit scratch, set when _run returns _UNBOUNDED.
         self.ray_col = -1
         self.ray_sigma = 0.0
@@ -179,6 +192,7 @@ class _Engine:
             B_inv[np.ix_(S, R)] = -(cols[rows_S] @ G)
         B_inv[S, rows_S] = 1.0
         self.B_inv = B_inv
+        self.since_rebuild = 0
         x_nb = self.x.copy()
         x_nb[basis] = 0.0
         self.x[basis] = B_inv @ (self.b - self._times(x_nb))
@@ -237,7 +251,6 @@ class _Engine:
         sign[self.fixed] = 0.0
         free = np.flatnonzero(st == _FREE)
         xb, lob, hob, cb = x[basis], lo[basis], hi[basis], c[basis]
-        pivots = 0
         try:
             while True:
                 if self.iterations >= cfg.max_iterations:
@@ -324,8 +337,8 @@ class _Engine:
                 sign[j] = 0.0
                 lob[r], hob[r], cb[r] = lo[j], hi[j], c[j]
                 self._pivot_update(r, w)
-                pivots += 1
-                if pivots % REFACTOR_EVERY == 0:
+                self.since_rebuild += 1
+                if self.since_rebuild >= REFACTOR_EVERY:
                     self._refactor()
                     xb = x[basis]
         finally:
@@ -399,6 +412,15 @@ class _Engine:
         self.status[self.basis] = _BASIC
         return self.restart()
 
+    def reprice(self, lp: LinearProgram) -> None:
+        """Begin a new solve of the same constraints under ``lp``'s costs.
+        The basis, its inverse and the point stay, still primal feasible,
+        so phase two starts from the last optimum; the iteration count and
+        the switch to Bland's rule start afresh, as in start()."""
+        self.cost[: self.n_struct] = -lp.costs if self.flip else lp.costs
+        self.iterations = 0
+        self.bland_after = SolverConfig.bland_after(self.n_struct, self.m)
+
     def raw_duals(self, c: np.ndarray) -> np.ndarray:
         return self.btran(c[self.basis])
 
@@ -458,32 +480,30 @@ def _start_warm(eng: _Engine, warm) -> bool:
         return False
 
 
-def solve_lp(lp: LinearProgram, warm=None) -> LpSolution:
-    """Solve a dense LP; see the module docstring for conventions.
-
-    Returns an optimal basic solution with row duals and its basis, an
-    infeasibility verdict carrying the phase-one multipliers as a
-    Farkas-style certificate, or a feasible point plus an improving ray
-    when the program is unbounded.
-
-    ``warm`` is the ``basis`` of an earlier optimal solution, of the same
-    constraints under other costs or mapped onto this program's columns
-    from a related one.  The solve then starts from it rather than from
-    the slack basis; a short or singular basis is repaired, a malformed
-    one ignored.  Either way the answer passes the same final check.
-    """
-    cfg = SolverConfig()
-    eng = _Engine(lp, cfg)
+def _started(lp: LinearProgram, warm=None) -> _Engine:
+    """An engine for ``lp`` started from ``warm``, or from the slack basis
+    when ``warm`` is None or does not start (see :func:`solve_lp`)."""
+    eng = _Engine(lp, SolverConfig())
     if warm is None or not _start_warm(eng, warm):
-        if eng.start(*eng.slack_start) > cfg.feas_tol:
-            return LpSolution(
-                status="infeasible",
-                objective_value=float("nan"),
-                primal=None,
-                duals=eng.raw_duals(eng.ph1_cost),
-                ray=None,
-                iterations=eng.iterations,
-            )
+        eng.infeasible = eng.start(*eng.slack_start) > eng.cfg.feas_tol
+    return eng
+
+
+def _solve(eng: _Engine, lp: LinearProgram) -> LpSolution:
+    """The loop every solve ends with: phase two from the engine's basis,
+    the check against ``lp``, up to two restarts, and the solution.  ``lp``
+    is the program the engine was started on, or the one it was repriced
+    to by :meth:`_Engine.reprice`."""
+    cfg = eng.cfg
+    if eng.infeasible:
+        return LpSolution(
+            status="infeasible",
+            objective_value=float("nan"),
+            primal=None,
+            duals=eng.raw_duals(eng.ph1_cost),
+            ray=None,
+            iterations=eng.iterations,
+        )
 
     # Restart after a failed check; the second restart runs under Bland's rule.
     for attempt in range(3):
@@ -518,3 +538,20 @@ def solve_lp(lp: LinearProgram, warm=None) -> LpSolution:
         iterations=eng.iterations,
         basis=(eng.basis.copy(), eng.status[: eng.n_struct + eng.m] == _AT_UPPER),
     )
+
+
+def solve_lp(lp: LinearProgram, warm=None) -> LpSolution:
+    """Solve a dense LP; see the module docstring for conventions.
+
+    Returns an optimal basic solution with row duals and its basis, an
+    infeasibility verdict carrying the phase-one multipliers as a
+    Farkas-style certificate, or a feasible point plus an improving ray
+    when the program is unbounded.
+
+    ``warm`` is the ``basis`` of an earlier optimal solution, of the same
+    constraints under other costs or mapped onto this program's columns
+    from a related one.  The solve then starts from it rather than from
+    the slack basis; a short or singular basis is repaired, a malformed
+    one ignored.  Either way the answer passes the same final check.
+    """
+    return _solve(_started(lp, warm), lp)

@@ -24,6 +24,7 @@ from wdro.errors import (
     DimensionMismatch,
     EmptySupport,
     HypothesisViolated,
+    NumericalBreakdown,
     SampleOutsideSupport,
     WdroError,
 )
@@ -226,14 +227,15 @@ class TestJointVersusReduced:
              "negative-radius"],
     )
     def test_inputs_are_admitted_before_any_solve(self, monkeypatch, boxed, data, epsilon):
-        def no_solve(lp, warm=None):
+        def no_solve(*args):
             raise AssertionError("an LP was solved")
 
         box = Polytope.box(-np.ones(2), np.ones(2))
         spec = PortfolioSpec(m=2, support=box if boxed else None)
         trained = PortfolioDecisionProblem(spec)
         trained.train(np.array([[0.5, -0.5], [0.0, 0.25]]), 0.1)
-        monkeypatch.setattr(experiments, "solve_lp", no_solve)
+        for name in ("solve_lp", "_started", "_solve"):
+            monkeypatch.setattr(experiments, name, no_solve)
         with pytest.raises(DimensionMismatch):
             trained.train(data, epsilon)
         with pytest.raises(DimensionMismatch):
@@ -680,6 +682,7 @@ class TestDecisionAdapter:
         monkeypatch.setattr(
             experiments, "solve_lp", lambda lp, warm=None: solve_lp(lp)
         )
+        monkeypatch.setattr(experiments, "_solve", lambda eng, lp: solve_lp(lp))
         cold = calibrate_kfold(data, PortfolioDecisionProblem(spec), grid, seed=2)
         assert warm.fold_radii == cold.fold_radii
         assert warm.radius == cold.radius
@@ -688,13 +691,18 @@ class TestDecisionAdapter:
     def test_train_warm_starts_on_other_samples_only_on_free_support(
         self, monkeypatch, boxed
     ):
-        seen = []
+        seen, solves = [], []
 
-        def recording(spec, data, epsilon, warm=None):
+        def recording(lp, warm=None):
             seen.append(warm is not None)
-            return solve_portfolio(spec, data, epsilon, warm)
+            return simplex._started(lp, warm)
 
-        monkeypatch.setattr(experiments, "solve_portfolio", recording)
+        def counting(eng, lp):
+            solves.append(eng)
+            return simplex._solve(eng, lp)
+
+        monkeypatch.setattr(experiments, "_started", recording)
+        monkeypatch.setattr(experiments, "_solve", counting)
         support = Polytope.box(-np.ones(3), np.ones(3)) if boxed else None
         problem = PortfolioDecisionProblem(PortfolioSpec(m=3, support=support))
         data = MarketModel(m=3).sample(16, np.random.default_rng(13))
@@ -708,8 +716,11 @@ class TestDecisionAdapter:
             (superset.copy(), 0.1),  # equal
         ):
             problem.train(samples, eps)
+        # equal samples step the live engine and start none
         other = not boxed
-        assert seen == [False, True, other, other, other, True]
+        assert seen == [False, other, other, other]
+        assert len(solves) == 6
+        assert solves[1] is solves[0] and solves[5] is solves[4]
 
 
 class TestMappedWarmStarts:
@@ -743,18 +754,17 @@ class TestMappedWarmStarts:
         starts = self._count_starts(monkeypatch)
         problem = PortfolioDecisionProblem(spec)
         gap_tol = SolverConfig().gap_tol
-        trains = 0
         for samples in sets:
             for eps in self.GRID:
                 got = problem.train(samples, eps)
-                trains += 1
                 cold = solve_portfolio(spec, samples, eps)
                 assert abs(got.certificate - cold.certificate) <= gap_tol * (
                     1.0 + abs(cold.certificate)
                 )
                 assert np.max(np.abs(got.weights - cold.weights)) <= 1e-9
-        # every train after the first, and no cold solve, passed a basis
-        assert starts == [True] * (trains - 1)
+        # every sample set after the first, and no cold solve, passed a
+        # basis; the other radii stepped the set's engine
+        assert starts == [True] * (len(sets) - 1)
 
     @pytest.mark.parametrize(
         "run, make_config",
@@ -764,15 +774,221 @@ class TestMappedWarmStarts:
     def test_one_run_study_makes_one_cold_solve(self, monkeypatch, run, make_config):
         cold = []
 
-        def recording(lp, warm=None):
-            cold.append(warm is None)
-            return solve_lp(lp, warm=warm)
+        def recording(start):
+            def recorded(lp, warm=None):
+                cold.append(warm is None)
+                return start(lp, warm)
+            return recorded
 
-        monkeypatch.setattr(experiments, "solve_lp", recording)
+        monkeypatch.setattr(experiments, "solve_lp", recording(solve_lp))
+        monkeypatch.setattr(experiments, "_started", recording(simplex._started))
         starts = self._count_starts(monkeypatch)
         run(make_config(runs=1))
         assert sum(cold) == 1
         assert starts == [True] * (len(cold) - 1)
+
+
+STEP_CASES = {
+    "free-l1": (PortfolioSpec(), 60),
+    "free-linf": (PortfolioSpec(ground_norm=GroundNorm.LINF), 60),
+    "box": (PortfolioSpec(m=3, support=Polytope.box(-np.ones(3), np.ones(3))), 20),
+}
+
+# four sweeps of a fine grid: a long path of short steps
+FINE = tuple(np.geomspace(1e-3, 3.0, 40))
+LONG_PATH = (FINE + FINE[::-1]) * 2
+
+
+class TestSteppedEngine:
+    """On samples with the same bytes, train reprices its live engine
+    rather than starting one (ROADMAP item 8)."""
+
+    @staticmethod
+    def _events(monkeypatch):
+        """One "p" per pivot and one "r" per rebuild of B^-1, over every engine."""
+        log = []
+        pivot, rebuild = simplex._Engine._pivot_update, simplex._Engine._refactor
+
+        def pivoting(eng, *args):
+            log.append("p")
+            return pivot(eng, *args)
+
+        def rebuilding(eng, *args, **kwargs):
+            log.append("r")
+            return rebuild(eng, *args, **kwargs)
+
+        monkeypatch.setattr(simplex._Engine, "_pivot_update", pivoting)
+        monkeypatch.setattr(simplex._Engine, "_refactor", rebuilding)
+        return log
+
+    @staticmethod
+    def _count_engines(monkeypatch):
+        started = []
+
+        def recording(lp, warm=None):
+            started.append(warm)
+            return simplex._started(lp, warm)
+
+        monkeypatch.setattr(experiments, "_started", recording)
+        return started
+
+    @staticmethod
+    def _assert_matches_cold(spec, data, eps, got):
+        cold = solve_portfolio(spec, data, eps)
+        gap_tol = SolverConfig().gap_tol
+        assert abs(got.certificate - cold.certificate) <= gap_tol * (
+            1.0 + abs(cold.certificate)
+        )
+        assert np.max(np.abs(got.weights - cold.weights)) <= 1e-9
+
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_repriced_program_is_the_program_at_that_radius(self, case):
+        spec, N = STEP_CASES[case]
+        data = MarketModel(m=spec.m).sample(N, np.random.default_rng(3))
+        lp = experiments._portfolio_program(spec, data, 0.05)
+        for eps in (0.0, 0.013, 2.5):
+            got = experiments._at_radius(spec, lp, eps)
+            want = experiments._portfolio_program(spec, data, eps)
+            for part in ("costs", "row_coeffs", "row_rhs", "lower", "upper"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+            assert (got.row_relations, got.names) == (want.row_relations, want.names)
+
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_stepped_decisions_match_cold_solves(self, monkeypatch, case):
+        spec, N = STEP_CASES[case]
+        data = MarketModel(m=spec.m).sample(N, np.random.default_rng(3))
+        problem = PortfolioDecisionProblem(spec)
+        problem.train(data, 0.05)
+        started = self._count_engines(monkeypatch)
+        log = self._events(monkeypatch)
+        ascending = (0.001, 0.01, 0.1, 1.0)
+        jump_down = (0.3, 0.0)  # a refit radius, then the sample-average refit
+        stepped, pivots = [], 0
+        for eps in ascending + jump_down + LONG_PATH:
+            before = len(log)
+            stepped.append((eps, problem.train(data.copy(), eps)))
+            pivots += log[before:].count("p")
+        assert not started
+        # under the Linf ground norm the penalty eps * ||x||_1 is constant
+        # on the simplex, so the decision never moves
+        if case != "free-linf":
+            assert pivots > simplex.REFACTOR_EVERY
+        for eps, got in stepped:
+            self._assert_matches_cold(spec, data, eps, got)
+
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_certificate_path_is_concave_and_nondecreasing(self, case):
+        # J(eps) is a minimum of functions affine and nondecreasing in eps
+        spec, N = STEP_CASES[case]
+        data = MarketModel(m=spec.m).sample(N, np.random.default_rng(3))
+        problem = PortfolioDecisionProblem(spec)
+        eps = np.array((0.0,) + FINE)
+        J = np.array([problem.train(data, e).certificate for e in eps])
+        # each certificate within tol of its optimum
+        tol = SolverConfig().gap_tol * (1.0 + np.abs(J).max())
+        assert np.all(np.diff(J) >= -2 * tol)
+        step = np.diff(eps)
+        slopes = np.diff(J) / step
+        assert np.all(np.diff(slopes) <= 2 * tol * (1 / step[:-1] + 1 / step[1:]))
+
+    @pytest.mark.parametrize("case", ["free-l1", "box"])
+    def test_rebuilds_count_pivots_across_steps(self, monkeypatch, case):
+        spec, N = STEP_CASES[case]
+        data = MarketModel(m=spec.m).sample(N, np.random.default_rng(3))
+        problem = PortfolioDecisionProblem(spec)
+        problem.train(data, LONG_PATH[0])
+        log = self._events(monkeypatch)
+        per_step = []
+        for eps in LONG_PATH[1:]:
+            before = len(log)
+            problem.train(data, eps)
+            per_step.append(log[before:].count("p"))
+        # no step reaches REFACTOR_EVERY pivots alone, the path does
+        assert max(per_step) < simplex.REFACTOR_EVERY < sum(per_step)
+        between = "".join(log).split("r")
+        assert max(map(len, between)) <= simplex.REFACTOR_EVERY
+
+    def test_a_step_is_checked_at_its_own_radius(self, monkeypatch):
+        spec = PortfolioSpec()
+        data = MarketModel().sample(40, np.random.default_rng(5))
+        problem = PortfolioDecisionProblem(spec)
+        problem.train(data, 0.01)
+        checked, restarts = [], []
+        restart = simplex._Engine.restart
+
+        def rejecting(lp, x, y, cfg):
+            checked.append(lp.costs.copy())
+            return False
+
+        def counted(eng):
+            restarts.append(eng)
+            return restart(eng)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "_certifies_optimal", rejecting)
+            patch.setattr(simplex._Engine, "restart", counted)
+            with pytest.raises(NumericalBreakdown):
+                problem.train(data, 0.2)
+        want = experiments._portfolio_program(spec, data, 0.2).costs
+        assert len(checked) == 3 and len(restarts) == 2
+        assert all(costs.tobytes() == want.tobytes() for costs in checked)
+        # the failed step left no engine: the next train starts one
+        started = self._count_engines(monkeypatch)
+        got = problem.train(data, 0.2)
+        assert len(started) == 1
+        self._assert_matches_cold(spec, data, 0.2, got)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0])
+    def test_bad_radius_on_equal_samples_leaves_the_engine(self, monkeypatch, epsilon):
+        spec = PortfolioSpec(m=2)
+        samples = np.array([[0.5, -0.5], [0.0, 0.25]])
+        problem = PortfolioDecisionProblem(spec)
+        problem.train(samples, 0.1)
+
+        def untouched(*args):
+            raise AssertionError("the engine was touched")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex._Engine, "reprice", untouched)
+            for name in ("_started", "_solve", "_admit_portfolio"):
+                patch.setattr(experiments, name, untouched)
+            with pytest.raises(DimensionMismatch):
+                problem.train(samples, epsilon)
+        started = self._count_engines(monkeypatch)
+        got = problem.train(samples, 0.2)
+        assert not started
+        self._assert_matches_cold(spec, samples, 0.2, got)
+
+    @pytest.mark.parametrize("boxed", [False, True], ids=["free", "polytope"])
+    def test_each_sample_set_is_admitted_once(self, monkeypatch, boxed):
+        admitted = []
+        admit = experiments._admit_portfolio
+
+        def counting(spec, data, epsilon):
+            admitted.append(data)
+            return admit(spec, data, epsilon)
+
+        monkeypatch.setattr(experiments, "_admit_portfolio", counting)
+        support = Polytope.box(-np.ones(3), np.ones(3)) if boxed else None
+        spec = PortfolioSpec(m=3, support=support)
+        data = MarketModel(m=3).sample(12, np.random.default_rng(4))
+        problem = PortfolioDecisionProblem(spec)
+        for samples in (data, data.copy(), data[:-2]):
+            for eps in (0.01, 0.1, 1.0):
+                problem.train(samples, eps)
+        assert len(admitted) == 2
+        solve_portfolio(spec, data, 0.1)
+        build_portfolio_dro(spec, data, 0.1)
+        assert len(admitted) == 4
+
+    def test_projection_warns_once_per_sample_set(self):
+        spec = PortfolioSpec(m=2, support=Polytope.box(-np.ones(2), np.ones(2)))
+        data = np.array([[1.0 + 1e-8, 0.5], [0.0, -0.25]])
+        problem = PortfolioDecisionProblem(spec)
+        with pytest.warns(UserWarning, match="projected") as record:
+            for eps in (0.01, 0.1, 1.0):
+                problem.train(data, eps)
+        assert [w.filename for w in record] == [__file__]
 
 
 @pytest.fixture(scope="module")
@@ -821,6 +1037,7 @@ class TestPortfolioStudy:
         monkeypatch.setattr(
             experiments, "solve_lp", lambda lp, warm=None: solve_lp(lp)
         )
+        monkeypatch.setattr(experiments, "_solve", lambda eng, lp: solve_lp(lp))
         cold = run_portfolio_study(cfg)
         for name, radius_cols, value_cols in (
             ("fig4_oos", (), (3, 4)),

@@ -536,6 +536,29 @@ class TestWarmStart:
                 checked += 1
         assert checked > 15
 
+    def test_repriced_engine_matches_cold_solves(self):
+        # one engine through a chain of cost changes, whatever each ends in
+        rng = np.random.default_rng(37)
+        cfg = SolverConfig()
+        seen = set()
+        for _ in range(60):
+            lp = random_general_lp(rng, n_max=7, m_max=7)
+            eng = simplex._started(lp)
+            got = simplex._solve(eng, lp)
+            for _ in range(4):
+                cold = solve_lp(lp)
+                assert got.status == cold.status
+                seen.add(got.status)
+                if cold.is_optimal:
+                    obj = cold.objective_value
+                    assert abs(got.objective_value - obj) <= cfg.gap_tol * (1.0 + abs(obj))
+                    y = -got.duals if lp.sense == "max" else got.duals
+                    assert simplex._certifies_optimal(lp, got.primal, y, cfg)
+                lp = _with(lp, costs=np.round(rng.uniform(-2, 2, size=lp.n_vars), 2))
+                eng.reprice(lp)
+                got = simplex._solve(eng, lp)
+        assert seen == {"optimal", "infeasible", "unbounded"}
+
     def test_rhs_change_repairs_the_old_basis(self, monkeypatch):
         restart = simplex._Engine.restart
         repairs = []
