@@ -43,19 +43,23 @@ LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 
 # Byte limit on the dense storage of one program and its simplex engine.
-# An m x n program takes 8*m*(2n + m + 1) bytes: its row matrix, the
+# An m x n program takes 8*m*(2n + 1) bytes for its row matrix and the
 # engine's [A | a] (the structural columns and one artificial column; slack
-# columns are implicit) and the m x m basis inverse.  A refactorization or
-# a dense pivot update holds one more m x m array for a moment.  The check
-# uses 8*m*(2n + 3m), which bounds all of that from above.  The largest
-# programs the studies and the tests build (1261 x 642) take about 51 MB by
-# that bound.
+# columns are implicit).  The engine keeps the kernel of the basis inverse:
+# G = A[R, J]^-1 (k x k) and the columns A[:, J] (m x k), k <= m the number
+# of basic columns that are not slacks, in buffers a quarter plus sixteen
+# slots larger but never wider than m.  A pivot update or a refactorization holds one
+# more k x k or m x k array for a moment.  The check uses 8*m*(2n + 3m),
+# whose m^2 terms bound all of that from above.  The largest programs the
+# studies and the tests build (1261 x 642) take about 51 MB by that bound.
 MAX_DENSE_BYTES = 2**30
 
 
 def _check_dense_size(m: int, n: int) -> None:
     """Raise TooLarge, before anything is allocated, for an m x n program
-    whose dense storage would exceed MAX_DENSE_BYTES."""
+    whose dense storage would exceed MAX_DENSE_BYTES: the program, the
+    engine's columns, and its kernel G (k x k) and A[:, J] (m x k) with
+    k <= m bounded as if k were m."""
     need = 8 * m * (2 * n + 3 * m)
     if need > MAX_DENSE_BYTES:
         raise TooLarge(

@@ -6,26 +6,31 @@ bounds ("<=" slack in [0, inf), ">=" slack in (-inf, 0], "=" slack fixed
 at zero).  Free variables are handled directly by the bounded-variable
 rules, never split into differences.
 
-The basis inverse is kept explicitly, updated by row operations after each
-pivot and rebuilt once the engine has made ``REFACTOR_EVERY`` pivots since
-its last rebuild (counted across phases and repricings alike), and each
-step costs what the basis holds rather than its full size.  The
-Wasserstein programs give every sample its own block of rows, so an
-optimal basis is mostly slack columns and B^-1 is mostly zeros.  A rebuild
-inverts only the block A[R, J], J the basic columns that are not slacks
-and R the rows no basic slack covers; the slack rows of B^-1 follow from
-it by one product.  A pivot updates only the columns of B^-1 where the
-pivot row is nonzero (all of them once more than an eighth are), which
-leaves every bit as a full rank-1 update would.  Slack columns are never
-stored: the engine keeps the structural columns and the artificial one,
-prices a slack as its cost minus its row dual, and reads B^-1 e_i off B^-1
-itself.  B^-1 times a stored column uses that column's nonzero rows, and
-the row duals use the basic columns with nonzero cost.
+The engine keeps only the kernel of the basis inverse.  With S the basic
+slacks, J the other basic columns and R the rows no basic slack covers, a
+basis B is nonsingular exactly when the block A[R, J] is, and B^-1 follows
+from G = A[R, J]^-1: B^-1 v has w_J = G v_R and, at the slack covering
+row s, w_s = v_s - A[s, J] w_J; the row duals are y_R = c_J G and zero on
+the covered rows, because slacks cost nothing.  The Wasserstein programs
+give every sample its own block of rows, so an optimal basis is mostly
+slack columns and k = |J| is a small part of m.  The engine stores G
+(k x k), the columns A[:, J] (m x k), R and J in G's order, and a map from
+rows to basis positions.  A pivot updates G in O(k^2) by one of the
+bordered-inverse steps of Bisschop and Meeraus (1977) and of the
+Schur-complement method of Gill, Murray, Saunders and Wright (1990): row
+operations for a swap inside J, a Schur complement when J and R each lose
+one, a border when a basic slack leaves, and a rank-one update of one row
+of the block when one slack replaces another.  The kernel is rebuilt by
+one np.linalg.inv of A[R, J] once the engine has made ``REFACTOR_EVERY``
+pivots since its last rebuild (counted across phases and repricings
+alike).  Slack columns are never stored: the engine keeps the structural
+columns and the artificial one, and prices a slack as its cost minus its
+row dual.
 
 Every start from a basis goes the same way: the basis is installed with
-each nonbasic column at a bound, its inverse is built, and basic values
+each nonbasic column at a bound, its kernel is built, and basic values
 outside their bounds are clamped.  A basis whose block A[R, J] is not
-square or is singular is repaired before the inverse is built
+square or is singular is repaired before the kernel is built
 (``_Engine._repair``).  The residual the clamping leaves goes into a
 single artificial column, and phase one drives that column from one to
 zero.  A cold solve starts from the slack basis, every other column at its
@@ -38,7 +43,7 @@ tie-breaks, switching to Bland's least-index rule after
 ratio test only considers rows whose pivot exceeds
 ``pivot_tol * max(1, max|w|)`` for the entering column w = B^-1 a_j; the
 threshold is relative because a pivot that is tiny next to the rest of its
-column wrecks the rank-1 update of the inverse.  All tie-breaking is
+column wrecks the update of the kernel.  All tie-breaking is
 deterministic, which makes repeated solves of the same program
 bit-identical.  A solve that reaches ``max_iterations`` iterations
 raises ``NumericalBreakdown``.
@@ -48,7 +53,9 @@ original program: primal residuals, reduced-cost signs and the primal-dual
 gap, each within its ``SolverConfig`` tolerance.  A point that fails is
 not returned.  The engine restarts from the current basis as above and
 resumes phase two; the second restart forces Bland's rule, and a third
-failure raises ``NumericalBreakdown``.
+failure raises ``NumericalBreakdown``.  A periodic rebuild in phase two
+that meets a singular block takes the same restart, which repairs the
+basis; in phase one it raises ``NumericalBreakdown``.
 
 Warm starts.  An optimal solution carries its basis: the basic column of
 each row and the bound side of every nonbasic column.  Passed back as
@@ -68,11 +75,11 @@ Repricing.  Every solve is a start (``_started``) followed by one loop
 When only the costs change, as along a radius sweep (the radius enters a
 reformulation only as one cost coefficient), a started engine needs no
 new start: ``_Engine.reprice`` takes the new costs and keeps the basis,
-its inverse and the point, which stay primal feasible (the parametric
+its kernel and the point, which stay primal feasible (the parametric
 cost simplex of Gass and Saaty 1955), and ``_solve`` runs the same loop
 against the program at the new costs.  The engine copies the constraints
-once for the whole sweep, and B^-1 goes on being updated rather than
-rebuilt; the count towards the next rebuild carries over.
+once for the whole sweep, and the kernel goes on being updated rather
+than rebuilt; the count towards the next rebuild carries over.
 """
 
 from __future__ import annotations
@@ -88,9 +95,9 @@ __all__ = ["solve_lp"]
 
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
 
-_OPTIMAL, _UNBOUNDED = 0, 1
+_OPTIMAL, _UNBOUNDED, _SINGULAR = 0, 1, 2
 
-# pivots between rebuilds of the basis inverse
+# pivots between rebuilds of the kernel of the basis inverse
 REFACTOR_EVERY = 100
 
 
@@ -138,7 +145,6 @@ class _Engine:
         self.fixed = self.lo == self.hi
         self.x = np.zeros(n_tot)
         self.status = np.full(n_tot, _AT_LOWER, dtype=np.int8)
-        self.B_inv = np.zeros((m, m))
         # The slack basis, every other column at its finite bound nearest zero.
         self.slack_start = (
             n + np.arange(m),
@@ -151,7 +157,7 @@ class _Engine:
         self.ph1_cost[self.art] = 1.0
         # Whether the start ended with a positive phase-one optimum.
         self.infeasible = False
-        # Pivots since B_inv was last rebuilt, over phases and solves alike.
+        # Pivots since the kernel was last rebuilt, over phases and solves alike.
         self.since_rebuild = 0
         # Unbounded-exit scratch, set when _run returns _UNBOUNDED.
         self.ray_col = -1
@@ -164,38 +170,66 @@ class _Engine:
         return self.A @ np.append(x[:n], x[self.art]) + x[n : self.art]
 
     def _refactor(self, repair: bool = False) -> None:
-        """Rebuild B_inv from the basis.  With S the basic slacks, J the
-        other basic columns and R the rows no basic slack covers, only the
-        block G = A[R, J]^-1 needs inverting: rows J of B_inv are G in the
-        columns R, and the row of a slack covering row s is
-        -(A[s, J] @ G) in the columns R plus a one in column s.  Without
-        ``repair``, a block np.linalg.inv refuses raises NumericalBreakdown."""
+        """Rebuild the kernel of B^-1 from the basis and recompute the basic
+        values.  With S the basic slacks, J the other basic columns and R
+        the rows no basic slack covers, only the block A[R, J] is inverted,
+        by one np.linalg.inv.  The kernel is G = A[R, J]^-1 (k x k), AJ =
+        A[:, J] (m x k), the positions J in G's row order and the rows R in
+        its column order; slot i pairs position J[i] with row R[i].  ``pos``
+        maps each row to a basis position, a covered row to its slack and
+        row R[i] to J[i]; ``slot`` maps each position of J to its slot.
+        Without ``repair``, a block that is not square or that
+        np.linalg.inv refuses raises NumericalBreakdown."""
         m, n = self.m, self.n_struct
         basis = self.basis
         slack = (basis >= n) & (basis < self.art)
-        S, J = np.flatnonzero(slack), np.flatnonzero(~slack)
+        S, J = slack.nonzero()[0], (~slack).nonzero()[0]
         rows_S = basis[S] - n
         uncovered = np.ones(m, dtype=bool)
         uncovered[rows_S] = False
-        R = np.flatnonzero(uncovered)
-        B_inv = np.zeros((m, m))
-        if J.size or R.size:
-            cols = self.A[:, np.where(basis[J] == self.art, n, basis[J])]
+        R = uncovered.nonzero()[0]
+        # the artificial column (art > n) is stored as column n of A
+        cols = self.A[:, np.minimum(basis[J], n)]
+        G = None
+        # A square block of a basis of m columns has no repeated slack.
+        if basis.size == m and J.size == R.size:
             try:
-                G = np.linalg.inv(cols[R])
-            except np.linalg.LinAlgError as exc:
-                if not repair:
-                    raise NumericalBreakdown("singular basis during refactorization") from exc
-                self._repair(basis[S], basis[J], cols[R], R)
-                return self._refactor()
-            B_inv[np.ix_(J, R)] = G
-            B_inv[np.ix_(S, R)] = -(cols[rows_S] @ G)
-        B_inv[S, rows_S] = 1.0
-        self.B_inv = B_inv
+                # the slack basis leaves nothing to invert
+                G = np.linalg.inv(cols[R]) if J.size else np.zeros((0, 0))
+            except np.linalg.LinAlgError:
+                pass
+        if G is None:
+            if not repair:
+                raise NumericalBreakdown("singular basis during refactorization")
+            self._repair(basis[S], basis[J], cols[R], R)
+            return self._refactor()
+        k = J.size
+        self._G, self._AJ, self._J, self._R = G, cols, J, R
+        self._resize(k)
+        self.pos = np.empty(m, dtype=np.int64)
+        self.pos[rows_S], self.pos[R] = S, J
+        self.slot = np.empty(m, dtype=np.int64)
+        self.slot[J] = np.arange(k)
         self.since_rebuild = 0
         x_nb = self.x.copy()
         x_nb[basis] = 0.0
-        self.x[basis] = B_inv @ (self.b - self._times(x_nb))
+        self.x[basis] = self.inv_times(self.b - self._times(x_nb))
+
+    def _grow(self) -> None:
+        """Move the kernel to buffers with sixteen and a quarter more slots
+        (at most m), so that a growing border moves it only now and then.
+        The buffer of G is zero outside G."""
+        k = self.k
+        cap = min(self.m, k + 16 + k // 4)
+        G, AJ = np.zeros((cap, cap)), np.empty((self.m, cap))
+        J, R = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
+        G[:k, :k], AJ[:, :k], J[:k], R[:k] = self.G, self.AJ, self.J, self.R
+        self._G, self._AJ, self._J, self._R = G, AJ, J, R
+
+    def _resize(self, k: int) -> None:
+        self.k = k
+        self.G, self.AJ = self._G[:k, :k], self._AJ[:, :k]
+        self.J, self.R = self._J[:k], self._R[:k]
 
     def _repair(self, slacks, others, block, R) -> None:
         """Complete the basis with slacks, as Bixby (1992) completes a crash
@@ -210,35 +244,106 @@ class _Engine:
         self.basis = np.concatenate([np.unique(slacks), others[keep], enter])
         self.status[self.basis] = _BASIC
 
+    def inv_times(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v from the kernel: w_J = G v_R, and the slack covering row s
+        takes w_s = v_s - A[s, J] w_J."""
+        # ndarray.dot: for the small kernels of small programs, matmul's
+        # call costs more than the product
+        w_J = self.G.dot(v[self.R])
+        w = np.empty(self.m)
+        w[self.pos] = v - self.AJ.dot(w_J)
+        w[self.J] = w_J
+        return w
+
     def ftran(self, j: int) -> np.ndarray:
-        """B^-1 times column j, from that column's nonzero rows only."""
+        """B^-1 times column j of [A | I | a]."""
         n = self.n_struct
         if n <= j < self.art:
-            return self.B_inv[:, j - n].copy()
-        col = self.A[:, n if j == self.art else j]
-        rows = col.nonzero()[0]
-        return self.B_inv[:, rows] @ col[rows]
+            col = np.zeros(self.m)
+            col[j - n] = 1.0
+            return self.inv_times(col)
+        return self.inv_times(self.A[:, min(j, n)])
 
     def btran(self, c_basic: np.ndarray) -> np.ndarray:
-        """Row duals y = B^-T c_B, from the basic columns with nonzero cost."""
-        pos = c_basic.nonzero()[0]
-        return c_basic[pos] @ self.B_inv[pos]
+        """Row duals y = B^-T c_B: y_R = c_J G, and y = 0 on the rows basic
+        slacks cover.  That needs every basic slack to cost zero, which
+        holds in both phases (slacks have no cost and phase one prices only
+        the artificial column)."""
+        y = np.zeros(self.m)
+        y[self.R] = c_basic[self.J].dot(self.G)
+        return y
 
-    def _pivot_update(self, r: int, w: np.ndarray) -> None:
-        """Row operations that bring column w to e_r.  Columns of B_inv
-        where the pivot row is zero would only have exact zeros subtracted,
-        so a sparse row updates its nonzero columns alone.  Gathering
-        columns costs several times a dense pass, so a row more than an
-        eighth full is updated whole.  Both routes give the same bits."""
-        B_inv = self.B_inv
-        B_inv[r, :] /= w[r]
-        cols = B_inv[r, :].nonzero()[0]
-        others = w.copy()
-        others[r] = 0.0
-        if 8 * cols.size >= self.m:
-            B_inv -= others[:, None] * B_inv[r, :]
+    def _pivot_update(self, r: int, w: np.ndarray, leaving: int) -> None:
+        """Update the kernel after column w = B^-1 a_j has entered at
+        position r in place of ``leaving``; each case costs O(k^2) and
+        at most two column copies:
+        - a column of J gives way to another: row operations on G;
+        - a column of J gives way to the slack of a row of R: J and R lose
+          a slot each, by the Schur complement;
+        - a basic slack gives way to a column: G gains a border;
+        - a basic slack gives way to another, so one row of the block
+          changes: a rank-one update of G."""
+        n = self.n_struct
+        j = int(self.basis[r])
+        enters_slack = n <= j < self.art
+        leaves_J = not n <= leaving < self.art
+        G, J, R, pos, slot = self.G, self.J, self.R, self.pos, self.slot
+        if leaves_J and not enters_slack:
+            i = int(slot[r])
+            G[i] /= w[r]
+            w_J = w[J]
+            w_J[i] = 0.0
+            G -= w_J[:, None] * G[i]
+            self.AJ[:, i] = self.A[:, min(j, n)]
+        elif leaves_J:
+            i = int(slot[r])
+            s = j - n
+            l = int(slot[pos[s]])
+            G -= G[:, l, None] * (G[i] / G[i, l])
+            # Row R[i] pairs with position J[l] in slot i; slot l goes.
+            r2, s2 = int(J[l]), int(R[i])
+            # r stays in slot l, so that moving the last slot there leaves
+            # the slot of r2 alone when l is the last
+            J[i], J[l] = r2, r
+            slot[r2] = i
+            G[i] = G[l]
+            AJ = self.AJ
+            AJ[:, i] = AJ[:, l]
+            last = self.k - 1
+            J[l], R[l] = J[last], R[last]
+            slot[J[l]] = l
+            G[l], G[:, l] = G[last], G[:, last]
+            G[last], G[:, last] = 0.0, 0.0
+            AJ[:, l] = AJ[:, last]
+            self._resize(last)
+            pos[s], pos[s2] = r, r2
+        elif not enters_slack:
+            s, k = leaving - n, self.k
+            if k == self._J.size:
+                self._grow()
+            self._resize(k + 1)
+            self.AJ[:, k] = self.A[:, min(j, n)]
+            self.J[k], self.R[k] = r, s
+            slot[r] = k
+            # The new G is [[G, 0], [0, 0]] + p q^T, with p = (G a_R, -1)/w_r
+            # and q = (A[s, J] G, -1); the buffer is zero in the new slot.
+            p = w[self.J]
+            p[k] = -1.0
+            p /= w[r]
+            q = self.AJ[s].dot(self.G)
+            q[k] = -1.0
+            self.G += p[:, None] * q
         else:
-            B_inv[:, cols] -= others[:, None] * B_inv[r, cols]
+            s, s2 = leaving - n, j - n
+            r2 = int(pos[s2])
+            l = int(slot[r2])
+            z = self.AJ[s].dot(G)
+            z_l = z[l]
+            z[l] -= 1.0
+            z /= z_l
+            G -= G[:, l, None] * z
+            R[l] = s
+            pos[s], pos[s2] = r2, r
 
     def _run(self, c: np.ndarray) -> int:
         cfg = self.cfg
@@ -249,7 +354,7 @@ class _Engine:
         # free nonbasic ones |d|.
         sign = np.where(st == _AT_UPPER, 1.0, np.where(st == _AT_LOWER, -1.0, 0.0))
         sign[self.fixed] = 0.0
-        free = np.flatnonzero(st == _FREE)
+        free = (st == _FREE).nonzero()[0]
         xb, lob, hob, cb = x[basis], lo[basis], hi[basis], c[basis]
         try:
             while True:
@@ -285,7 +390,7 @@ class _Engine:
                 w = self.ftran(j)
                 delta = -sigma * w
                 # A pivot must be large relative to the entering column: a
-                # relatively tiny one makes the rank-1 update of B_inv (and
+                # relatively tiny one makes the update of the kernel (and
                 # so of x) amplify rounding error without bound.  An
                 # infinite bound gives an infinite step, never a blocking row.
                 mag = np.abs(w)
@@ -314,7 +419,7 @@ class _Engine:
                     sign[j] = -sign[j]
                     continue
 
-                cand = np.flatnonzero(t_rows <= t + 1e-12 * (1.0 + abs(t)))
+                cand = (t_rows <= t + 1e-12 * (1.0 + abs(t))).nonzero()[0]
                 if cand.size > 1 and not bland:
                     mags = mag[cand]
                     cand = cand[mags >= mags.max() * (1.0 - 1e-9)]
@@ -336,18 +441,26 @@ class _Engine:
                 st[j] = _BASIC
                 sign[j] = 0.0
                 lob[r], hob[r], cb[r] = lo[j], hi[j], c[j]
-                self._pivot_update(r, w)
+                self._pivot_update(r, w, leaving)
                 self.since_rebuild += 1
                 if self.since_rebuild >= REFACTOR_EVERY:
-                    self._refactor()
+                    try:
+                        self._refactor()
+                    except NumericalBreakdown:
+                        # xb, lob, hob and cb would not follow a repaired
+                        # basis, so the caller restarts, which repairs it.
+                        return _SINGULAR
                     xb = x[basis]
         finally:
             x[basis] = xb
 
     def phase_one(self) -> float:
-        if self._run(self.ph1_cost) == _UNBOUNDED:
+        outcome = self._run(self.ph1_cost)
+        if outcome == _UNBOUNDED:
             # The phase-one objective is bounded below by zero.
             raise NumericalBreakdown("phase one reported an unbounded direction")
+        if outcome == _SINGULAR:
+            raise NumericalBreakdown("singular basis during refactorization")
         return float(self.x[self.art])
 
     def _fix_artificial(self) -> None:
@@ -367,7 +480,7 @@ class _Engine:
         return self._run(self.cost)
 
     def restart(self) -> float:
-        """Rebuild the inverse of the current basis and make its point
+        """Rebuild the kernel of the current basis and make its point
         primal feasible again; return the phase-one optimum, 0 if the
         point needed no repair.  Basic values outside their bounds are
         clamped and the residual that leaves goes into the artificial
@@ -414,7 +527,7 @@ class _Engine:
 
     def reprice(self, lp: LinearProgram) -> None:
         """Begin a new solve of the same constraints under ``lp``'s costs.
-        The basis, its inverse and the point stay, still primal feasible,
+        The basis, its kernel and the point stay, still primal feasible,
         so phase two starts from the last optimum; the iteration count and
         the switch to Bland's rule start afresh, as in start()."""
         self.cost[: self.n_struct] = -lp.costs if self.flip else lp.costs
@@ -505,12 +618,15 @@ def _solve(eng: _Engine, lp: LinearProgram) -> LpSolution:
             iterations=eng.iterations,
         )
 
-    # Restart after a failed check; the second restart runs under Bland's rule.
+    # Restart after a failed check or a singular rebuild in phase two; the
+    # second restart runs under Bland's rule.
     for attempt in range(3):
         outcome = eng.phase_two()
         y = eng.raw_duals(eng.cost)
         primal = eng.x[: eng.n_struct].copy()
-        if outcome == _UNBOUNDED or _certifies_optimal(lp, primal, y, cfg):
+        if outcome == _UNBOUNDED or (
+            outcome == _OPTIMAL and _certifies_optimal(lp, primal, y, cfg)
+        ):
             break
         if attempt == 2:
             raise NumericalBreakdown(

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -380,9 +381,10 @@ def _basis_matrix(eng, lp, basis):
 
 
 def _refactored(eng, basis, repair=False):
+    """B^-1 after refactoring ``basis``, one column per unit vector."""
     eng.basis = np.asarray(basis, dtype=np.int64)
     eng._refactor(repair)
-    return eng.B_inv
+    return np.column_stack([eng.inv_times(e) for e in np.eye(eng.m)])
 
 
 def _dense_lp(rng, m, n):
@@ -394,32 +396,46 @@ def _dense_lp(rng, m, n):
 
 
 class TestBasisInverse:
-    """The engine's explicit inverse: the pivot update restricted to the
-    pivot row's nonzero columns, and the refactorization that inverts only
-    the block of the basis no basic slack covers."""
+    """The engine's kernel of B^-1, G = A[R, J]^-1: the four pivot updates,
+    and the refactorization that inverts only the block of the basis no
+    basic slack covers."""
 
-    def test_restricted_update_matches_full_outer_update(self):
+    def test_every_kind_of_pivot_keeps_the_kernel_an_inverse(self):
         rng = np.random.default_rng(53)
-        for m in (4, 30, 120):
-            eng = _engine(_dense_lp(rng, m, 1))
-            for nnz in sorted({1, 2, m // 10, m // 2, m}):
-                B_inv = rng.standard_normal((m, m))
-                r = int(rng.integers(m))
-                row = np.zeros(m)
-                keep = rng.choice(m, nnz, replace=False)
-                row[keep] = rng.standard_normal(nnz)
-                B_inv[r] = row
-                w = rng.standard_normal(m)
-                w[rng.random(m) < 0.3] = 0.0
-                w[r] = rng.uniform(0.5, 2.0)
-                expected = B_inv.copy()
-                expected[r, :] /= w[r]
-                others = w.copy()
-                others[r] = 0.0
-                expected -= np.outer(others, expected[r, :])
-                eng.B_inv = B_inv.copy()
-                eng._pivot_update(r, w)
-                assert np.array_equal(eng.B_inv, expected)
+        kinds = Counter()
+        for m, n in ((3, 2), (12, 9), (30, 40)):
+            lp = _dense_lp(rng, m, n)
+            eng = _engine(lp)
+            _refactored(eng, n + np.arange(m))
+            for _ in range(5 * m):
+                # a structural column or a slack enters, even odds
+                nonbasic = np.setdiff1d(np.arange(n + m), eng.basis)
+                kind = nonbasic[(nonbasic >= n) == (rng.random() < 0.5)]
+                j = int(rng.choice(kind if kind.size else nonbasic))
+                w = eng.ftran(j)
+                # a slack or a column of J leaves, even odds, at a pivot at
+                # least half the largest
+                big = np.abs(w) >= 0.5 * np.abs(w).max()
+                kind = big & ((eng.basis >= n) == (rng.random() < 0.5))
+                r = int(rng.choice(np.flatnonzero(kind if kind.any() else big)))
+                leaving = int(eng.basis[r])
+                kinds[leaving >= n, j >= n] += 1
+                eng.basis[r] = j
+                eng._pivot_update(r, w, leaving)
+
+                cols = eng.basis[eng.J]
+                assert np.array_equal(eng.AJ, lp.row_coeffs[:, cols])
+                block = lp.row_coeffs[np.ix_(eng.R, cols)]
+                assert np.allclose(eng.G @ block, np.eye(eng.k), atol=1e-9)
+                B = _basis_matrix(eng, lp, eng.basis)
+                probe = int(rng.integers(n + m))
+                col = np.hstack([lp.row_coeffs, np.eye(m)])[:, probe]
+                assert np.allclose(eng.ftran(probe), np.linalg.solve(B, col), atol=1e-9)
+                c_B = np.where(eng.basis < n, rng.standard_normal(m), 0.0)
+                assert np.allclose(eng.btran(c_B), np.linalg.solve(B.T, c_B), atol=1e-9)
+        # (slack leaves, slack enters): J swap, Schur complement, border, row swap
+        assert set(kinds) == {(False, False), (False, True), (True, False), (True, True)}
+        assert min(kinds.values()) >= 10
 
     def test_refactor_inverts_every_kind_of_basis(self):
         rng = np.random.default_rng(59)
@@ -864,6 +880,49 @@ class TestFinalCheck:
             assert lp.costs @ x == pytest.approx(ref_val, abs=1e-7)
             checked += 1
         assert checked > 5
+
+    def test_singular_rebuild_in_phase_two_restarts(self, monkeypatch):
+        # The origin is feasible, so every pivot is in phase two.
+        rng = np.random.default_rng(71)
+        m, n = 40, 60
+        lp = LinearProgram(
+            sense="max", costs=rng.uniform(-1, 1, n), row_coeffs=rng.standard_normal((m, n)),
+            row_relations=(LE,) * m, row_rhs=rng.uniform(1, 2, m),
+            lower=np.zeros(n), upper=np.ones(n),
+        )
+        inv, refactor, restart = np.linalg.inv, simplex._Engine._refactor, simplex._Engine.restart
+        refused, restarts = [], []
+        armed = [False]
+
+        def refusing(a):
+            if armed[0]:
+                armed[0] = False
+                refused.append(True)
+                raise np.linalg.LinAlgError("refused once")
+            return inv(a)
+
+        def rebuilding(eng, repair=False):
+            # only the periodic rebuild inside a phase refactors without repair
+            periodic = not repair and eng.since_rebuild >= simplex.REFACTOR_EVERY
+            armed[0] = periodic and not refused
+            return refactor(eng, repair)
+
+        def counted(eng):
+            restarts.append(eng.iterations)
+            return restart(eng)
+
+        monkeypatch.setattr(np.linalg, "inv", refusing)
+        monkeypatch.setattr(simplex._Engine, "_refactor", rebuilding)
+        monkeypatch.setattr(simplex._Engine, "restart", counted)
+        got = solve_lp(lp)
+        assert refused == [True]
+        # the start's restart, then the one after the refused rebuild
+        assert len(restarts) == 2 and restarts[0] == 0 < restarts[1]
+        ref_status, ref_val, _ = solve_with_scipy(lp)
+        assert got.status == ref_status == "optimal"
+        cfg = SolverConfig()
+        assert abs(got.objective_value - ref_val) <= cfg.gap_tol * (1.0 + abs(ref_val))
+        assert simplex._certifies_optimal(lp, got.primal, -got.duals, cfg)
 
     def test_point_that_never_verifies_raises(self, monkeypatch):
         monkeypatch.setattr(simplex, "_certifies_optimal", lambda *args: False)
