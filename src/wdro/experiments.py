@@ -151,8 +151,8 @@ class PortfolioSpec:
 
 @dataclass(frozen=True)
 class PortfolioResult:
-    """``basis`` is the optimal basis of the solve, for ``warm`` in
-    :func:`solve_portfolio`."""
+    """``basis`` is the optimal basis of the solve, which
+    :class:`PortfolioDecisionProblem` maps onto other samples' programs."""
 
     weights: np.ndarray
     tau: float
@@ -268,7 +268,7 @@ def _at_radius(spec: PortfolioSpec, lp: LinearProgram, epsilon: float) -> Linear
 
 def _map_free_basis(old_samples, old: PortfolioResult, samples):
     """Carry ``old``, an optimal result on the free-support program of
-    ``old_samples``, over to the program of ``samples`` as a ``warm`` basis.
+    ``old_samples``, over to the program of ``samples`` as a starting basis.
 
     Each new sample takes the first unused old sample with the same bytes,
     so a permuted or duplicated sample maps too.  A kept sample keeps the
@@ -323,16 +323,14 @@ def _portfolio_result(sol, m: int) -> PortfolioResult:
 
 
 def solve_portfolio(
-    spec: PortfolioSpec, data: np.ndarray, epsilon: float, warm=None
+    spec: PortfolioSpec, data: np.ndarray, epsilon: float
 ) -> PortfolioResult:
-    """Optimal weights, CVaR threshold and certificate at one radius.
-
-    ``warm`` is the ``basis`` of an earlier result on the same spec and
-    data, or one mapped onto this data's program (as
-    :class:`PortfolioDecisionProblem` does on the free support); the
-    solve starts from it (see :func:`wdro.simplex.solve_lp`)."""
+    """Optimal weights, CVaR threshold and certificate at one radius, by
+    one cold solve.  A sweep over radii on the same data goes faster
+    through :meth:`PortfolioDecisionProblem.train`, which reprices one
+    live engine."""
     lp = _portfolio_program(spec, _admit_portfolio(spec, data, epsilon), epsilon)
-    return _portfolio_result(solve_lp(lp, warm=warm), spec.m)
+    return _portfolio_result(solve_lp(lp), spec.m)
 
 
 def empirical_cvar(losses: np.ndarray, alpha: float) -> float:
@@ -497,9 +495,31 @@ def gaussian_orthant_upper(mu, cov) -> float:
         return np.exp(-0.5 * x * x) * _orthant2(mu[rest] + slope * x, rest_cov)
 
     # Z_j >= 0 from x = -mu_j / sd on; the density is below 1e-300 past 40
-    lower = float(np.clip(-mu[j] / sd, -40.0, 40.0))
+    lo, hi = float(np.clip(-mu[j] / sd, -40.0, 40.0)), 40.0
+    # P[Z_i >= 0 | x] is below Phi(-40) unless the conditional mean
+    # mu_i + slope_i x reaches -40 sd_i, which bounds x on one side.  It
+    # climbs from Phi(-8) to Phi(8) between the two x where that mean is
+    # -+8 sd_i; a climb narrower than the density's unit scale goes to quad
+    # as those two breakpoints, so that it is seen whole
+    points = []
+    for m_i, b, s in zip(mu[rest], slope, np.sqrt(np.maximum(np.diag(rest_cov), 0.0))):
+        if b == 0.0:
+            if m_i < -40.0 * s:
+                return 0.0
+            continue
+        edge = (-40.0 * s - m_i) / b
+        if b > 0.0:
+            lo = max(lo, edge)
+        else:
+            hi = min(hi, edge)
+        if 16.0 * s < abs(b):
+            points += [(-8.0 * s - m_i) / b, (8.0 * s - m_i) / b]
+    if lo >= hi:
+        return 0.0
+    points = [p for p in points if lo < p < hi]
     val, _ = integrate.quad(
-        integrand, lower, 40.0, epsabs=ORTHANT_TOL * 1e-2, epsrel=1e-10, limit=200
+        integrand, lo, hi, points=points or None,
+        epsabs=ORTHANT_TOL * 1e-2, epsrel=1e-10, limit=200,
     )
     return float(val / np.sqrt(2.0 * np.pi))
 

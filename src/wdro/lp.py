@@ -139,8 +139,7 @@ class LpSolution:
 
     ``basis`` is set on "optimal" only: the pair (basic column of each row,
     whether each column sits at its upper bound), over the structural
-    columns followed by one slack per row.  Pass it as ``warm`` to
-    ``solve_lp`` to start a related program from it.
+    columns followed by one slack per row.
     """
 
     status: str

@@ -622,19 +622,11 @@ def convex_closed_form(p: DroProblem) -> float:
     return float(p.radius * kappa + p.loss(p.samples).mean())
 
 
-_BUILDERS = {
-    ("pwa", "max"): build_max_affine,
-    ("pwa", "min"): build_min_affine,
-    ("event", "outside"): build_uq_worst,
-    ("event", "inside"): build_uq_best,
-}
-
-
 def _builder_for(loss: Loss):
     if isinstance(loss, PiecewiseAffineLoss):
-        return _BUILDERS[("pwa", loss.kind)]
+        return build_max_affine if loss.kind == "max" else build_min_affine
     if isinstance(loss, EventIndicator):
-        return _BUILDERS[("event", loss.sense)]
+        return build_uq_worst if loss.sense == "outside" else build_uq_best
     if isinstance(loss, TwoStageLoss):
         return build_two_stage
     if isinstance(loss, SeparableLoss):

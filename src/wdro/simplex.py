@@ -58,17 +58,14 @@ that meets a singular block takes the same restart, which repairs the
 basis; in phase one it raises ``NumericalBreakdown``.
 
 Warm starts.  An optimal solution carries its basis: the basic column of
-each row and the bound side of every nonbasic column.  Passed back as
-``warm``, it is the basis the solve starts from in place of the slack
-basis.  It may be the basis of the same program, or one a caller has
-mapped from another program onto this one's columns, as the portfolio
-adapter does across sample sets, keeping each kept sample's columns and
-covering an added sample's row by its hinge or its slack.  The engine
-does not care where a basis came from: the start drops repeated columns
-(np.linalg.inv can miss their singularity) and repairs a short, long or
-singular basis and an infeasible point as above.  A malformed basis (not
-1-D integers, a column out of range, bound sides of the wrong length), or
-one with a positive phase-one optimum, is dropped for the slack basis.
+each row and the bound side of every nonbasic column.  The portfolio
+adapter maps such a basis from one sample set onto the program of
+another, keeping each kept sample's columns and covering an added
+sample's row by its hinge or its slack, and starts a fresh engine from it
+(``_started``).  A mapped basis holds distinct columns in range, but it
+may come out short, long or singular and its point infeasible; the start
+repairs these as above.  One with a positive phase-one optimum is dropped
+for the slack basis.
 
 Repricing.  Every solve is a start (``_started``) followed by one loop
 (``_solve``): phase two, the final check, the restarts and the solution.
@@ -579,23 +576,16 @@ def _certifies_optimal(
 
 
 def _start_warm(eng: _Engine, warm) -> bool:
-    """Start ``eng`` from ``warm``; False if it is malformed or phase one fails."""
-    basis, at_upper = (np.asarray(part) for part in warm)
-    n_real = eng.n_struct + eng.m
-    if basis.ndim != 1 or basis.dtype.kind not in "iu" or at_upper.shape != (n_real,):
-        return False
-    if basis.size and (basis.min() < 0 or basis.max() >= n_real):
-        return False
-    basis = basis[np.sort(np.unique(basis, return_index=True)[1])]
+    """Start ``eng`` from the basis ``warm``; False if phase one fails."""
     try:
-        return eng.start(basis, at_upper.astype(bool)) <= eng.cfg.feas_tol
+        return eng.start(*warm) <= eng.cfg.feas_tol
     except NumericalBreakdown:
         return False
 
 
 def _started(lp: LinearProgram, warm=None) -> _Engine:
-    """An engine for ``lp`` started from ``warm``, or from the slack basis
-    when ``warm`` is None or does not start (see :func:`solve_lp`)."""
+    """An engine for ``lp`` started from the basis ``warm``, or from the
+    slack basis when ``warm`` is None or does not start."""
     eng = _Engine(lp, SolverConfig())
     if warm is None or not _start_warm(eng, warm):
         eng.infeasible = eng.start(*eng.slack_start) > eng.cfg.feas_tol
@@ -656,18 +646,13 @@ def _solve(eng: _Engine, lp: LinearProgram) -> LpSolution:
     )
 
 
-def solve_lp(lp: LinearProgram, warm=None) -> LpSolution:
-    """Solve a dense LP; see the module docstring for conventions.
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve a dense LP from the slack basis; see the module docstring
+    for conventions.
 
     Returns an optimal basic solution with row duals and its basis, an
     infeasibility verdict carrying the phase-one multipliers as a
     Farkas-style certificate, or a feasible point plus an improving ray
     when the program is unbounded.
-
-    ``warm`` is the ``basis`` of an earlier optimal solution, of the same
-    constraints under other costs or mapped onto this program's columns
-    from a related one.  The solve then starts from it rather than from
-    the slack basis; a short or singular basis is repaired, a malformed
-    one ignored.  Either way the answer passes the same final check.
     """
-    return _solve(_started(lp, warm), lp)
+    return _solve(_started(lp), lp)

@@ -347,14 +347,12 @@ class TestCalibrate:
         from wdro import reformulate
 
         calls = []
-        for name, key in (("build_uq_best", ("event", "inside")),
-                          ("build_uq_worst", ("event", "outside"))):
+        for name in ("build_uq_best", "build_uq_worst"):
             def counting(p, _build=getattr(reformulate, name), _name=name):
                 calls.append(_name)
                 return _build(p)
 
             monkeypatch.setattr(reformulate, name, counting)
-            monkeypatch.setitem(reformulate._BUILDERS, key, counting)
         config = {
             "method": "uq_kfold",
             "samples": [[-1.0, 0.2], [-0.5, 0.1], [0.2, -0.3], [1.0, 0.0],

@@ -285,9 +285,9 @@ class TestFreeSupportProgram:
         spec = PortfolioSpec(m=4, rho=3.0, alpha=0.3, ground_norm=norm_g)
         solved = []
 
-        def capture(lp, warm=None):
+        def capture(lp):
             solved.append(lp)
-            return solve_lp(lp, warm=warm)
+            return solve_lp(lp)
 
         monkeypatch.setattr(experiments, "solve_lp", capture)
         solve_portfolio(spec, data, 0.07)
@@ -498,6 +498,20 @@ class TestOrthantOracle:
         got = gaussian_orthant_upper(mu, cov)
         assert got == pytest.approx(expected, abs=1e-6)
 
+    def test_narrow_integrand_after_conditioning(self):
+        # a UQ study instance: given the third coordinate, the other two
+        # have a covariance eigenvalue of 3.9e-8, so the integrand lives on
+        # a short interval from the lower limit x = 0.089 on
+        mu = np.array([0.03404868, 0.00404868, -0.02595132])
+        cov = np.array([[0.07882978, -0.00483588, 0.03029034],
+                        [-0.00483588, 0.00212346, -0.01337532],
+                        [0.03029034, -0.01337532, 0.0842509]])
+        expected = multivariate_normal(
+            mean=-mu, cov=cov, seed=0, abseps=1e-7, maxpts=10_000_000
+        ).cdf(np.zeros(3))
+        assert expected == pytest.approx(1.483e-4, abs=1e-6)
+        assert gaussian_orthant_upper(mu, cov) == pytest.approx(expected, abs=1e-6)
+
 
 class TestFastUqBounds:
     def test_calibration_solves_one_lp_per_distinct_sample(self, monkeypatch):
@@ -679,9 +693,6 @@ class TestDecisionAdapter:
         data = MarketModel().sample(40, np.random.default_rng(19))
         grid = tuple(np.geomspace(1e-3, 1.0, 7))
         warm = calibrate_kfold(data, PortfolioDecisionProblem(spec), grid, seed=2)
-        monkeypatch.setattr(
-            experiments, "solve_lp", lambda lp, warm=None: solve_lp(lp)
-        )
         monkeypatch.setattr(experiments, "_solve", lambda eng, lp: solve_lp(lp))
         cold = calibrate_kfold(data, PortfolioDecisionProblem(spec), grid, seed=2)
         assert warm.fold_radii == cold.fold_radii
@@ -1034,9 +1045,6 @@ class TestPortfolioStudy:
 
     def test_warm_starts_change_nothing_beyond_tolerance(self, report, monkeypatch):
         cfg, warm = report
-        monkeypatch.setattr(
-            experiments, "solve_lp", lambda lp, warm=None: solve_lp(lp)
-        )
         monkeypatch.setattr(experiments, "_solve", lambda eng, lp: solve_lp(lp))
         cold = run_portfolio_study(cfg)
         for name, radius_cols, value_cols in (

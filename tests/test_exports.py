@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,18 @@ README_SPEC = {
     "radius": 0.25,
     "loss": {"type": "max_affine", "slopes": [[0.0], [1.0]], "intercepts": [0.0, 0.0]},
 }
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_examples_run():
+    """README's python blocks run in order in one namespace, so an example
+    that calls a removed API fails here rather than misleading a reader."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 def test_solve_and_worstcase_load_no_scipy(tmp_path):
