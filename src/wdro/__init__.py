@@ -7,62 +7,23 @@ solves them with an embedded simplex engine, reconstructs worst-case
 reproducible portfolio and uncertainty-quantification studies.
 """
 
-from .calibrate import (
-    DEFAULT_GRID,
-    CalibrationResult,
-    ConcentrationConfig,
-    DecisionProblem,
-    UqBound,
-    calibrate_holdout,
-    calibrate_kfold,
-    calibrate_uq_kfold,
-    radius_a_priori,
-)
+# Each module lists its public names in its own ``__all__``; the package
+# re-exports those lists.
+from . import calibrate, extremal, geometry, lp, reformulate, simplex, wasserstein
+from .calibrate import *
 from .errors import WdroError
-from .extremal import (
-    ATOM_TOL,
-    EscapeRay,
-    ExtremalResult,
-    MembershipReport,
-    verify_membership,
-    worst_case_distribution,
-    worst_case_distribution_separable,
-)
-from .geometry import (
-    GroundNorm,
-    Polytope,
-    dual_norm_value,
-    enumerate_vertices,
-    nearest_point,
-    norm_value,
-)
-from .lp import LinearProgram, LpBuilder, LpSolution, SolverConfig, dump_program
-from .reformulate import (
-    DroProblem,
-    EventIndicator,
-    PiecewiseAffineLoss,
-    SeparableLoss,
-    TwoStageLoss,
-    build_max_affine,
-    build_min_affine,
-    build_separable,
-    build_two_stage,
-    build_uq_best,
-    build_uq_worst,
-    convex_closed_form,
-    worst_case_value,
-)
-from .simplex import solve_lp
-from .wasserstein import (
-    DiscreteDistribution,
-    merge_atoms,
-    wasserstein_distance,
-)
+from .extremal import *
+from .geometry import *
+from .lp import *
+from .reformulate import *
+from .simplex import *
+from .wasserstein import *
 
 __version__ = "0.1.0"
 
-# The studies and oracles load scipy; their names resolve on first use
-# so that ``import wdro`` loads numpy alone.
+# The studies and oracles load scipy, so ``experiments`` is not imported
+# here: its ``__all__`` is repeated below (a test keeps the two equal) and
+# its names resolve on first use, so that ``import wdro`` loads numpy alone.
 _EXPERIMENTS = frozenset({
     "MarketModel",
     "PortfolioDecisionProblem",
@@ -85,50 +46,13 @@ _EXPERIMENTS = frozenset({
 
 __all__ = [
     "WdroError",
-    "LinearProgram",
-    "LpBuilder",
-    "LpSolution",
-    "SolverConfig",
-    "dump_program",
-    "solve_lp",
-    "GroundNorm",
-    "norm_value",
-    "dual_norm_value",
-    "Polytope",
-    "nearest_point",
-    "enumerate_vertices",
-    "DiscreteDistribution",
-    "merge_atoms",
-    "wasserstein_distance",
-    "PiecewiseAffineLoss",
-    "EventIndicator",
-    "TwoStageLoss",
-    "SeparableLoss",
-    "DroProblem",
-    "build_max_affine",
-    "build_min_affine",
-    "build_uq_worst",
-    "build_uq_best",
-    "build_two_stage",
-    "build_separable",
-    "convex_closed_form",
-    "worst_case_value",
-    "ATOM_TOL",
-    "EscapeRay",
-    "ExtremalResult",
-    "MembershipReport",
-    "worst_case_distribution",
-    "worst_case_distribution_separable",
-    "verify_membership",
-    "DEFAULT_GRID",
-    "ConcentrationConfig",
-    "CalibrationResult",
-    "UqBound",
-    "DecisionProblem",
-    "radius_a_priori",
-    "calibrate_holdout",
-    "calibrate_kfold",
-    "calibrate_uq_kfold",
+    *lp.__all__,
+    *simplex.__all__,
+    *geometry.__all__,
+    *wasserstein.__all__,
+    *reformulate.__all__,
+    *extremal.__all__,
+    *calibrate.__all__,
     *sorted(_EXPERIMENTS),
     "__version__",
 ]

@@ -151,13 +151,11 @@ class PortfolioSpec:
 
 @dataclass(frozen=True)
 class PortfolioResult:
-    """``basis`` is the optimal basis of the solve, which
-    :class:`PortfolioDecisionProblem` maps onto other samples' programs."""
+    """Optimal weights, CVaR threshold and certificate of one solve."""
 
     weights: np.ndarray
     tau: float
     certificate: float
-    basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _admit_portfolio(spec: PortfolioSpec, data, epsilon: float) -> np.ndarray:
@@ -266,9 +264,10 @@ def _at_radius(spec: PortfolioSpec, lp: LinearProgram, epsilon: float) -> Linear
     return replace(lp, costs=costs)
 
 
-def _map_free_basis(old_samples, old: PortfolioResult, samples):
+def _map_free_basis(old_samples, old: PortfolioResult, old_basis, samples):
     """Carry ``old``, an optimal result on the free-support program of
-    ``old_samples``, over to the program of ``samples`` as a starting basis.
+    ``old_samples`` with the basis ``old_basis`` of its solve, over to the
+    program of ``samples`` as a starting basis.
 
     Each new sample takes the first unused old sample with the same bytes,
     so a permuted or duplicated sample maps too.  A kept sample keeps the
@@ -278,7 +277,7 @@ def _map_free_basis(old_samples, old: PortfolioResult, samples):
     keep their status, so a dropped sample can leave a basic column too
     many (its row had neither its hinge nor its slack basic) or too few
     (both); the engine repairs such a basis when it starts from it."""
-    basis, at_upper = old.basis
+    basis, at_upper = old_basis
     N_old, m = old_samples.shape
     N = samples.shape[0]
     head = m + 2
@@ -318,7 +317,6 @@ def _portfolio_result(sol, m: int) -> PortfolioResult:
         weights=sol.primal[:m].copy(),
         tau=float(sol.primal[m]),
         certificate=sol.objective_value,
-        basis=sol.basis,
     )
 
 
@@ -402,7 +400,7 @@ class PortfolioDecisionProblem:
         self._samples: np.ndarray | None = None
         self._engine = None
         self._lp: LinearProgram | None = None
-        self._by_radius: dict[float, PortfolioResult] = {}
+        self._by_radius: dict[float, tuple[PortfolioResult, tuple]] = {}
 
     def train(self, samples, epsilon) -> PortfolioResult:
         spec, given = self.spec, np.array(samples, dtype=float)
@@ -417,16 +415,17 @@ class PortfolioDecisionProblem:
             warm = None
             if self._by_radius and spec.resolved_support().is_free:
                 near = self._by_radius[min(self._by_radius, key=lambda e: abs(e - epsilon))]
-                warm = _map_free_basis(self._samples, near, admitted)
+                warm = _map_free_basis(self._samples, *near, admitted)
             # dropped first: two live engines would raise the peak memory
             self._engine = self._lp = None
             lp = _portfolio_program(spec, admitted, epsilon)
             engine = _started(lp, warm)
             self._given, self._samples, self._by_radius = given, admitted, {}
         self._engine = None  # until the solve returns
-        result = _portfolio_result(_solve(engine, lp), spec.m)
+        sol = _solve(engine, lp)
+        result = _portfolio_result(sol, spec.m)
         self._engine, self._lp = engine, lp
-        self._by_radius[float(epsilon)] = result
+        self._by_radius[float(epsilon)] = (result, sol.basis)
         return result
 
     def score(self, decision: PortfolioResult, samples) -> float:

@@ -7,7 +7,8 @@ A :class:`LinearProgram` is a plain dense description
                l <= x <= u               elementwise, infinities allowed
 
 The solver lives in :mod:`wdro.simplex`; this module only holds data and
-structure-level transformations.
+structure-level transformations.  :class:`LpBuilder` hands out a column
+as its index, the position at which ``LpSolution.primal`` holds its value.
 
 Dual convention.  For a minimization program the dual multiplier of a ">="
 row is nonnegative, of a "<=" row nonpositive, and of an "=" row free, so
@@ -35,7 +36,6 @@ __all__ = [
     "LpSolution",
     "SolverConfig",
     "LpBuilder",
-    "Var",
     "dump_program",
 ]
 
@@ -186,25 +186,14 @@ class SolverConfig:
         return 10 * (n_vars + n_rows)
 
 
-class Var:
-    """Handle returned by :meth:`LpBuilder.var`; indexes into the program."""
-
-    __slots__ = ("index", "name")
-
-    def __init__(self, index: int, name: str):
-        self.index = index
-        self.name = name
-
-    def __repr__(self):
-        return f"Var({self.index}, {self.name!r})"
-
-
 class LpBuilder:
     """Incremental construction of a dense LinearProgram.
 
-    Rows are entered as ``{var: coefficient}`` mappings; dual-norm and
-    norm-epigraph rows used throughout the reformulations are provided as
-    helpers so every builder encodes them identically.
+    :meth:`var` and :meth:`vars` return column indices, numbered from 0 in
+    order of creation.  Rows and the objective are entered as
+    ``{column: coefficient}`` mappings; dual-norm and norm-epigraph rows
+    used throughout the reformulations are provided as helpers so every
+    builder encodes them identically.
     """
 
     def __init__(self, sense: str = "min"):
@@ -217,45 +206,44 @@ class LpBuilder:
         self._rels: list[str] = []
         self._rhs: list[float] = []
 
-    def var(self, name: str, lb: float = -np.inf, ub: float = np.inf) -> Var:
-        v = Var(len(self._names), name)
+    def var(self, name: str, lb: float = -np.inf, ub: float = np.inf) -> int:
         self._names.append(name)
         self._lower.append(lb)
         self._upper.append(ub)
-        return v
+        return len(self._names) - 1
 
-    def vars(self, prefix: str, count: int, lb: float = -np.inf, ub: float = np.inf) -> list[Var]:
+    def vars(self, prefix: str, count: int, lb: float = -np.inf, ub: float = np.inf) -> list[int]:
         return [self.var(f"{prefix}[{i}]", lb, ub) for i in range(count)]
 
-    def set_objective(self, terms: Mapping[Var, float]) -> None:
-        self._obj = {v.index: float(t) for v, t in terms.items()}
+    def set_objective(self, terms: Mapping[int, float]) -> None:
+        self._obj = {j: float(t) for j, t in terms.items()}
 
-    def add_row(self, terms: Mapping[Var, float], rel: str, rhs: float) -> int:
+    def add_row(self, terms: Mapping[int, float], rel: str, rhs: float) -> int:
         """Append one row and return its index."""
-        self._rows.append({v.index: float(t) for v, t in terms.items() if t != 0.0})
+        self._rows.append({j: float(t) for j, t in terms.items() if t != 0.0})
         self._rels.append(rel)
         self._rhs.append(float(rhs))
         return len(self._rows) - 1
 
-    def add_le(self, terms: Mapping[Var, float], rhs: float) -> int:
+    def add_le(self, terms: Mapping[int, float], rhs: float) -> int:
         return self.add_row(terms, LE, rhs)
 
-    def add_ge(self, terms: Mapping[Var, float], rhs: float) -> int:
+    def add_ge(self, terms: Mapping[int, float], rhs: float) -> int:
         return self.add_row(terms, GE, rhs)
 
-    def add_eq(self, terms: Mapping[Var, float], rhs: float) -> int:
+    def add_eq(self, terms: Mapping[int, float], rhs: float) -> int:
         return self.add_row(terms, EQ, rhs)
 
     def add_norm_le(
         self,
-        exprs: Sequence[tuple[Mapping[Var, float], float]],
-        bound: Var,
+        exprs: Sequence[tuple[Mapping[int, float], float]],
+        bound: int,
         norm: GroundNorm,
         tag: str = "",
     ) -> int:
         """Rows enforcing ||v||_norm <= bound for the affine vector v whose
-        component j is ``exprs[j]`` (a {var: coeff} mapping plus constant);
-        returns the first row's index.
+        component j is ``exprs[j]`` (a {column: coeff} mapping plus
+        constant) and ``bound`` is a column; returns the first row's index.
 
         Each component gets the row pair v_j <= u_j, -v_j <= u_j; the pairs
         come first, where ``_norm_pair_duals`` reads them.  For the max-norm
@@ -268,7 +256,7 @@ class LpBuilder:
         first = len(self._rows)
         for (terms, const), u in zip(exprs, bounds):
             for sign in (1.0, -1.0):
-                row = {v: sign * t for v, t in terms.items()}
+                row = {j: sign * t for j, t in terms.items()}
                 row[u] = row.get(u, 0.0) - 1.0
                 self.add_le(row, -sign * const)
         if l1:

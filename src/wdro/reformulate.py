@@ -54,7 +54,7 @@ from .geometry import (
     nearest_point,
     norm_value,
 )
-from .lp import LinearProgram, LpBuilder, LpSolution, Var
+from .lp import LinearProgram, LpBuilder, LpSolution
 from .simplex import solve_lp
 
 __all__ = [
@@ -329,7 +329,7 @@ class DroProblem:
 
 
 def _combination(vs, M: np.ndarray):
-    """The vector M v over the variables ``vs``, one ({var: coeff}, 0.0)
+    """The vector M v over the columns ``vs``, one ({column: coeff}, 0.0)
     pair per row of M, in the form ``LpBuilder.add_norm_le`` takes."""
     return [({v: c for v, c in zip(vs, row) if c != 0.0}, 0.0) for row in M]
 
@@ -344,10 +344,12 @@ class _Assembler:
 
     A block is one (sample, piece) pair: the builder supplies the loss's
     epigraph terms and right-hand side and its part v of the norm vector
-    (a list of ({var: coeff}, const) pairs), and creates its own local
-    variables through ``b`` before calling :meth:`block`.  Each block adds
-    its columns as local variables, gamma, then norm auxiliaries, and its
-    rows as the epigraph row, then the dual-norm rows.
+    (a list of ({column: coeff}, const) pairs), and creates its own local
+    variables through ``b`` before calling :meth:`block`.  Every variable
+    is a column index of ``b``; ``lam`` is the budget multiplier's, set by
+    the first :meth:`epigraph`.  Each block adds its columns as local
+    variables, gamma, then norm auxiliaries, and its rows as the epigraph
+    row, then the dual-norm rows.
 
     On a free support there is no gamma, and two norm vectors reduce.  One
     that does not depend on the block (``shared``) gets its rows once per
@@ -363,12 +365,12 @@ class _Assembler:
         self.b = LpBuilder("min")
         self.radius = radius
         self.dual = norm.dual
-        self.lam: Var | None = None
+        self.lam: int | None = None
         self.obj: dict = {}
         self._shared: dict = {}
         self.norm_rows: dict[str, int] = {}
 
-    def epigraph(self, n: int, name: str = "s", lb: float = -np.inf) -> list[Var]:
+    def epigraph(self, n: int, name: str = "s", lb: float = -np.inf) -> list[int]:
         """A group of n epigraph variables with cost 1/n each.  The first
         group also creates lam, after any variables the caller made."""
         self._flush()

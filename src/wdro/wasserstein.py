@@ -117,5 +117,4 @@ def wasserstein_distance(
     if sol.status != "optimal":
         # Balanced marginals always admit a product plan.
         raise TooLarge("transportation solve failed unexpectedly")
-    flow = sol.primal.reshape(ns, nt)  # f[i][j] were created row by row
-    return float(np.sum(flow * dist))
+    return float(np.sum(sol.primal[f] * dist))

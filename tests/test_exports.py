@@ -75,6 +75,28 @@ def test_star_import_and_dir_list_the_whole_api():
     assert set(wdro.__all__) <= set(dir(wdro))
 
 
+EAGER = [
+    name for name in MODULES[1:]
+    if name != "wdro.experiments" and hasattr(importlib.import_module(name), "__all__")
+]
+
+
+@pytest.mark.parametrize("name", EAGER)
+def test_package_exports_each_eager_module_list(name):
+    """The package re-exports the whole ``__all__`` of every module that
+    has one, but ``experiments``, whose names resolve lazily (see below)."""
+    exported = importlib.import_module(name).__all__
+    assert [n for n in exported if n not in wdro.__all__] == []
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_version_is_said_once():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    config = read_configuration(README.parent / "pyproject.toml", expand=True)
+    assert config["project"]["version"] == wdro.__version__
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         wdro.no_such_name

@@ -704,6 +704,23 @@ class TestSizeGuard:
         assert time.perf_counter() - start < 1.0
 
 
+class TestBuilder:
+    def test_columns_are_indices_into_the_primal(self):
+        b = LpBuilder("max")
+        x = b.var("x", ub=2.0)
+        y = b.vars("y", 3, lb=0.0, ub=1.0)
+        assert [x, *y] == [0, 1, 2, 3]
+        b.set_objective({x: 1.0, y[0]: 2.0, y[1]: -1.0, y[2]: 0.5})
+        b.add_le({x: 1.0, y[0]: 1.0}, 2.5)
+        lp = b.build()
+        assert [lp.names[v] for v in (x, *y)] == ["x", "y[0]", "y[1]", "y[2]"]
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        expected = {x: 1.5, y[0]: 1.0, y[1]: 0.0, y[2]: 1.0}
+        for v, value in expected.items():
+            assert sol.primal[v] == pytest.approx(value, abs=1e-12)
+
+
 class TestDump:
     def test_round_trip_exact_floats(self):
         b = LpBuilder("min")
