@@ -143,14 +143,24 @@ def _clean_grid(grid) -> tuple[float, ...]:
     return tuple(sorted(set(points)))
 
 
+def _check_folds(k: int, N: int) -> None:
+    """The rule of k-fold validation: k >= 2 folds of N samples, none empty."""
+    if k < 2:
+        raise DimensionMismatch("cross validation needs k >= 2")
+    if N < k:
+        raise DatasetTooSmall(f"need at least k={k} samples, got {N}")
+
+
+def _check_split(split: float) -> None:
+    if not (0.0 < split < 1.0):
+        raise DimensionMismatch("split fraction must lie strictly in (0, 1)")
+
+
 def _folds(data: np.ndarray, k: int, seed):
     """The k contiguous blocks of a seeded shuffle, as index tuples, and
     per block the (training, validation) samples that hold it out."""
-    if k < 2:
-        raise DimensionMismatch("cross validation needs k >= 2")
     N = data.shape[0]
-    if N < k:
-        raise DatasetTooSmall(f"need at least k={k} samples, got {N}")
+    _check_folds(k, N)
     blocks = np.array_split(np.random.default_rng(seed).permutation(N), k)
     pairs = []
     for block in blocks:
@@ -191,8 +201,7 @@ def calibrate_holdout(
     radius."""
     data = _check_samples(data)
     grid = _clean_grid(grid)
-    if not (0.0 < split < 1.0):
-        raise DimensionMismatch("split fraction must lie strictly in (0, 1)")
+    _check_split(split)
     N = data.shape[0]
     if N < 2:
         raise DatasetTooSmall("holdout needs at least two samples")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -30,6 +29,7 @@ import scipy
 from scipy import integrate
 from scipy.special import ndtr, ndtri, owens_t
 
+from .calibrate import _check_folds, _check_split, _clean_grid
 from .calibrate import calibrate_holdout, calibrate_kfold, calibrate_uq_kfold
 from .errors import (
     DimensionMismatch,
@@ -209,8 +209,8 @@ def _free_program(spec, data, epsilon) -> LinearProgram:
     dual norm of x), then one hinge z_i (>= 0) per sample; rows sum(x) = 1,
     then -xi_i.x - tau - z_i <= 0 per sample, then the dual-norm epigraph
     (x >= 0 keeps it one-sided), x_j - t <= 0 per asset for the L1 ground
-    norm or sum(x) - t <= 0 for Linf.  So sample i owns row 1 + i, column
-    m + 2 + i and, in the engine's numbering, that row's slack.
+    norm or sum(x) - t <= 0 for Linf.  So sample i owns row 1 + i and
+    column m + 2 + i.
     ``0.0 - data``, not ``-data``, keeps a zero sample at +0.0."""
     N, m = data.shape
     n_norm = m if spec.ground_norm is GroundNorm.L1 else 1
@@ -241,6 +241,15 @@ def _free_program(spec, data, epsilon) -> LinearProgram:
     )
 
 
+def _free_point(spec: PortfolioSpec, old: PortfolioResult, samples) -> np.ndarray:
+    """The point of :func:`_free_program` on ``samples`` at the weights and
+    threshold of ``old``: t the dual norm of the weights, each hinge its
+    sample's loss above the threshold or zero."""
+    x, tau = old.weights, old.tau
+    hinges = np.maximum((0.0 - samples) @ x - tau, 0.0)
+    return np.concatenate([x, [tau, dual_norm_value(x, spec.ground_norm)], hinges])
+
+
 def _radius_cost(spec: PortfolioSpec) -> float:
     """The cost per unit radius of column m + 1, the one column whose cost
     depends on the radius: the free program's t or the joint program's lam."""
@@ -262,50 +271,6 @@ def _at_radius(spec: PortfolioSpec, lp: LinearProgram, epsilon: float) -> Linear
     costs = lp.costs.copy()
     costs[spec.m + 1] = epsilon * _radius_cost(spec)
     return replace(lp, costs=costs)
-
-
-def _map_free_basis(old_samples, old: PortfolioResult, old_basis, samples):
-    """Carry ``old``, an optimal result on the free-support program of
-    ``old_samples`` with the basis ``old_basis`` of its solve, over to the
-    program of ``samples`` as a starting basis.
-
-    Each new sample takes the first unused old sample with the same bytes,
-    so a permuted or duplicated sample maps too.  A kept sample keeps the
-    status of its hinge column and its row's slack; a dropped one takes
-    both away; an added one gets its hinge basic if the old (x, tau)
-    violates its row and its slack basic otherwise.  The shared columns
-    keep their status, so a dropped sample can leave a basic column too
-    many (its row had neither its hinge nor its slack basic) or too few
-    (both); the engine repairs such a basis when it starts from it."""
-    basis, at_upper = old_basis
-    N_old, m = old_samples.shape
-    N = samples.shape[0]
-    head = m + 2
-    n_old, n = head + N_old, head + N
-    queues: dict[bytes, deque] = {}
-    for p, row in enumerate(old_samples):
-        queues.setdefault(row.tobytes(), deque()).append(p)
-    src = np.array(
-        [q.popleft() if (q := queues.get(row.tobytes())) else -1 for row in samples],
-        dtype=np.int64,
-    )
-    n_norm = basis.size - 1 - N_old
-    # the old engine column behind each new one, -1 for an added sample's
-    cols = np.concatenate([
-        np.arange(head),
-        np.where(src >= 0, head + src, -1),
-        [n_old],
-        np.where(src >= 0, n_old + 1 + src, -1),
-        n_old + 1 + N_old + np.arange(n_norm),
-    ])
-    # an added sample's columns, -1, are neither basic nor at upper
-    is_basic, upper = np.isin(cols, basis), np.append(at_upper, False)[cols]
-
-    added = np.flatnonzero(src < 0)
-    hinge = (0.0 - samples[added]) @ old.weights - old.tau > 0.0
-    is_basic[head + added[hinge]] = True
-    is_basic[n + 1 + added[~hinge]] = True
-    return np.flatnonzero(is_basic), upper
 
 
 def _portfolio_result(sol, m: int) -> PortfolioResult:
@@ -385,22 +350,21 @@ class PortfolioDecisionProblem:
     primal feasible; the samples are not admitted again, the radius is
     checked before the engine is touched.  Other samples (a fold, a
     holdout split, the full-data refit, the next run) are admitted once
-    and get a fresh engine.  On the free support it starts from the
-    result last solved at the nearest radius, its basis mapped onto their
-    program by :func:`_map_free_basis`; the joint program of a polytope
-    support starts cold.  Every answer passes the simplex's final check
-    against the program at its own radius, so neither route changes it
-    beyond solver tolerance.  A solve that raises leaves no engine to go
-    on from.  The memory lives on the instance, so separate instances
-    never share a starting point."""
+    and get a fresh engine.  On the free support it starts from the point,
+    on their program, of the result last solved at the nearest radius
+    (:func:`_free_point`), and the engine reads its basis off that point;
+    the joint program of a polytope support starts cold.  Every answer
+    passes the simplex's final check against the program at its own
+    radius, so neither route changes it beyond solver tolerance.  A solve
+    that raises leaves no engine to go on from.  The memory lives on the
+    instance, so separate instances never share a starting point."""
 
     def __init__(self, spec: PortfolioSpec):
         self.spec = spec
         self._given: np.ndarray | None = None
-        self._samples: np.ndarray | None = None
         self._engine = None
         self._lp: LinearProgram | None = None
-        self._by_radius: dict[float, tuple[PortfolioResult, tuple]] = {}
+        self._by_radius: dict[float, PortfolioResult] = {}
 
     def train(self, samples, epsilon) -> PortfolioResult:
         spec, given = self.spec, np.array(samples, dtype=float)
@@ -410,22 +374,21 @@ class PortfolioDecisionProblem:
             engine, lp = self._engine, _at_radius(spec, self._lp, epsilon)
             engine.reprice(lp)
         else:
-            # admitted before a basis is mapped onto them
             admitted = _admit_portfolio(spec, given, epsilon)
-            warm = None
+            near = None
             if self._by_radius and spec.resolved_support().is_free:
-                near = self._by_radius[min(self._by_radius, key=lambda e: abs(e - epsilon))]
-                warm = _map_free_basis(self._samples, *near, admitted)
+                old = self._by_radius[min(self._by_radius, key=lambda e: abs(e - epsilon))]
+                near = _free_point(spec, old, admitted)
             # dropped first: two live engines would raise the peak memory
             self._engine = self._lp = None
             lp = _portfolio_program(spec, admitted, epsilon)
-            engine = _started(lp, warm)
-            self._given, self._samples, self._by_radius = given, admitted, {}
+            engine = _started(lp, near)
+            self._given, self._by_radius = given, {}
         self._engine = None  # until the solve returns
         sol = _solve(engine, lp)
         result = _portfolio_result(sol, spec.m)
         self._engine, self._lp = engine, lp
-        self._by_radius[float(epsilon)] = (result, sol.basis)
+        self._by_radius[float(epsilon)] = result
         return result
 
     def score(self, decision: PortfolioResult, samples) -> float:
@@ -646,8 +609,10 @@ def _geom(lo, hi, count):
     return tuple(float(v) for v in np.geomspace(lo, hi, count))
 
 
-def _check_shared(config) -> None:
-    """The checks of the fields both study configs share."""
+def _check_shared(config, arms, *grids) -> None:
+    """The checks of the fields both study configs share, with the sample
+    sizes ``arms`` it calibrates on and its radius ``grids`` checked by the
+    calibrators' rules."""
     if config.runs < 1:
         raise DimensionMismatch("need at least one run")
     # NaN fails both comparisons
@@ -655,6 +620,10 @@ def _check_shared(config) -> None:
         raise DimensionMismatch("radius sweep must be nonempty, finite and nonnegative")
     if config.market.m != config.portfolio.m:
         raise DimensionMismatch("market and portfolio dimensions differ")
+    for grid in grids:
+        _clean_grid(grid)
+    for N in arms:
+        _check_folds(config.k_folds, N)
 
 
 @dataclass(frozen=True)
@@ -683,7 +652,8 @@ class PortfolioStudyConfig:
         )
 
     def validate(self):
-        _check_shared(self)
+        _check_shared(self, self.n_calibration, self.calibration_grid)
+        _check_split(self.holdout_split)
 
 
 @dataclass(frozen=True)
@@ -704,9 +674,9 @@ class UqStudyConfig:
     portfolio: PortfolioSpec = field(default_factory=PortfolioSpec)
 
     def validate(self):
-        _check_shared(self)
-        if not (1 <= self.risky_assets <= self.market.m):
-            raise DimensionMismatch("risky asset count out of range")
+        _check_shared(self, self.n_values, self.portfolio_grid, self.uq_grid)
+        if not (1 <= self.risky_assets <= min(3, self.market.m)):
+            raise DimensionMismatch("risky asset count must lie in 1 to min(3, market.m)")
         if not self.portfolio.resolved_support().is_free:
             raise DimensionMismatch(
                 "the probability study uses unconstrained support"

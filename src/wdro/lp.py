@@ -136,10 +136,6 @@ class LpSolution:
     ``ray`` is an improving recession direction and ``primal`` a feasible
     point from which it emanates.  On "infeasible" ``duals`` carries the
     phase-one multipliers, a Farkas-style certificate.
-
-    ``basis`` is set on "optimal" only: the pair (basic column of each row,
-    whether each column sits at its upper bound), over the structural
-    columns followed by one slack per row.
     """
 
     status: str
@@ -148,7 +144,6 @@ class LpSolution:
     duals: np.ndarray | None
     ray: np.ndarray | None
     iterations: int
-    basis: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def is_optimal(self) -> bool:

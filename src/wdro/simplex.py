@@ -57,15 +57,12 @@ failure raises ``NumericalBreakdown``.  A periodic rebuild in phase two
 that meets a singular block takes the same restart, which repairs the
 basis; in phase one it raises ``NumericalBreakdown``.
 
-Warm starts.  An optimal solution carries its basis: the basic column of
-each row and the bound side of every nonbasic column.  The portfolio
-adapter maps such a basis from one sample set onto the program of
-another, keeping each kept sample's columns and covering an added
-sample's row by its hinge or its slack, and starts a fresh engine from it
-(``_started``).  A mapped basis holds distinct columns in range, but it
+Warm starts.  A warm start is a point, not a basis: ``_started`` reads
+the basis off it (``_Engine.basis_of``), since an optimal point
+determines an optimal basis up to degeneracy (Megiddo 1991).  The basis
 may come out short, long or singular and its point infeasible; the start
-repairs these as above.  One with a positive phase-one optimum is dropped
-for the slack basis.
+repairs these as above, and one with a positive phase-one optimum is
+dropped for the slack basis.
 
 Repricing.  Every solve is a start (``_started``) followed by one loop
 (``_solve``): phase two, the final check, the restarts and the solution.
@@ -509,6 +506,17 @@ class _Engine:
         self.x[cols] = np.where(up, hi, np.where(down, lo, 0.0))
         self.status[cols] = np.where(up, _AT_UPPER, np.where(down, _AT_LOWER, _FREE))
 
+    def basis_of(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The start basis of the structural point ``x``: every column and
+        slack farther than feas_tol * (1 + |bound|) from each finite bound
+        is basic, and every other one sits at the bound it touches."""
+        n, m = self.n_struct, self.m
+        v = np.concatenate([x, self.b - self.A[:, :n] @ x])
+        lo, hi, tol = self.lo[: n + m], self.hi[: n + m], self.cfg.feas_tol
+        at_lo = np.isfinite(lo) & (v - lo <= tol * (1.0 + np.abs(lo)))
+        at_hi = np.isfinite(hi) & (hi - v <= tol * (1.0 + np.abs(hi)))
+        return np.flatnonzero(~(at_lo | at_hi)), ~at_lo
+
     def start(self, basis: np.ndarray, at_upper: np.ndarray) -> float:
         """Begin a solve from ``basis``, each other column at a bound (the
         upper one where ``at_upper`` says so), and return the phase-one
@@ -583,11 +591,11 @@ def _start_warm(eng: _Engine, warm) -> bool:
         return False
 
 
-def _started(lp: LinearProgram, warm=None) -> _Engine:
-    """An engine for ``lp`` started from the basis ``warm``, or from the
-    slack basis when ``warm`` is None or does not start."""
+def _started(lp: LinearProgram, near=None) -> _Engine:
+    """An engine for ``lp`` started from the basis of the point ``near``,
+    or from the slack basis when ``near`` is None or that does not start."""
     eng = _Engine(lp, SolverConfig())
-    if warm is None or not _start_warm(eng, warm):
+    if near is None or not _start_warm(eng, eng.basis_of(near)):
         eng.infeasible = eng.start(*eng.slack_start) > eng.cfg.feas_tol
     return eng
 
@@ -642,7 +650,6 @@ def _solve(eng: _Engine, lp: LinearProgram) -> LpSolution:
         duals=-y if eng.flip else y,
         ray=None,
         iterations=eng.iterations,
-        basis=(eng.basis.copy(), eng.status[: eng.n_struct + eng.m] == _AT_UPPER),
     )
 
 
@@ -650,9 +657,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a dense LP from the slack basis; see the module docstring
     for conventions.
 
-    Returns an optimal basic solution with row duals and its basis, an
-    infeasibility verdict carrying the phase-one multipliers as a
-    Farkas-style certificate, or a feasible point plus an improving ray
-    when the program is unbounded.
+    Returns an optimal basic solution with row duals, an infeasibility
+    verdict carrying the phase-one multipliers as a Farkas-style
+    certificate, or a feasible point plus an improving ray when the
+    program is unbounded.
     """
     return _solve(_started(lp), lp)

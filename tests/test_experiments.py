@@ -21,8 +21,10 @@ import wdro.experiments as experiments
 import wdro.simplex as simplex
 from wdro.calibrate import calibrate_kfold, calibrate_uq_kfold
 from wdro.errors import (
+    DatasetTooSmall,
     DimensionMismatch,
     EmptySupport,
+    GridEmpty,
     HypothesisViolated,
     NumericalBreakdown,
     SampleOutsideSupport,
@@ -735,8 +737,11 @@ class TestDecisionAdapter:
 
 
 class TestMappedWarmStarts:
-    """A basis mapped onto other samples starts the solve (no fallback to
-    the slack basis) and ends at the cold solve's answer."""
+    """On other samples the solve starts from the last decision's point on
+    their program: every column strictly inside its bounds there is basic,
+    every other one at the bound it touches.  That basis starts the solve
+    (no fallback to the slack basis), which ends at the cold solve's
+    answer."""
 
     GRID = (0.001, 0.01, 0.1, 1.0)
 
@@ -774,7 +779,7 @@ class TestMappedWarmStarts:
                 )
                 assert np.max(np.abs(got.weights - cold.weights)) <= 1e-9
         # every sample set after the first, and no cold solve, passed a
-        # basis; the other radii stepped the set's engine
+        # point; the other radii stepped the set's engine
         assert starts == [True] * (len(sets) - 1)
 
     @pytest.mark.parametrize(
@@ -1067,6 +1072,13 @@ class TestPortfolioStudy:
             PortfolioStudyConfig(runs=0).validate()
         with pytest.raises(DimensionMismatch):
             PortfolioStudyConfig(market=MarketModel(m=3)).validate()
+        with pytest.raises(DimensionMismatch):
+            PortfolioStudyConfig(holdout_split=1.5).validate()
+        for grid in ((), (0.01, np.nan)):
+            with pytest.raises(GridEmpty):
+                PortfolioStudyConfig(calibration_grid=grid).validate()
+        with pytest.raises(DatasetTooSmall):  # a calibration arm below k_folds
+            PortfolioStudyConfig(n_calibration=(30, 4)).validate()
 
 
 class TestUqStudy:
@@ -1098,6 +1110,13 @@ class TestUqStudy:
     def test_config_validation(self):
         with pytest.raises(DimensionMismatch):
             UqStudyConfig(risky_assets=0).validate()
+        with pytest.raises(DimensionMismatch):  # beyond the orthant oracle's three
+            UqStudyConfig(risky_assets=4).validate()
+        for grids in ({"portfolio_grid": ()}, {"uq_grid": (np.nan,)}):
+            with pytest.raises(GridEmpty):
+                UqStudyConfig(**grids).validate()
+        with pytest.raises(DatasetTooSmall):  # an arm below k_folds
+            UqStudyConfig(n_values=(4,)).validate()
         with pytest.raises(DimensionMismatch):
             UqStudyConfig(
                 portfolio=PortfolioSpec(support=Polytope.box(-np.ones(10), np.ones(10)))
@@ -1123,9 +1142,9 @@ def test_explicit_free_support_is_free_support():
     "fields",
     [{"runs": 0}, {"epsilons": ()}, {"epsilons": (-0.5, 0.0)},
      {"epsilons": (0.0, np.nan)}, {"epsilons": (np.inf,)},
-     {"market": MarketModel(m=3)}],
+     {"market": MarketModel(m=3)}, {"k_folds": 1}],
     ids=["no-runs", "no-radii", "negative-radius", "nan-radius", "inf-radius",
-         "m-mismatch"],
+         "m-mismatch", "one-fold"],
 )
 def test_both_study_configs_check_their_shared_fields(make_config, fields):
     with pytest.raises(DimensionMismatch):

@@ -345,12 +345,12 @@ class TestDegeneracy:
                 np.where(rng.random(n) < 0.5, 2.0, np.inf),
             )
             basic.clear()
-            got = solve_lp(lp)
+            got, (basis, _) = _solved(lp)
             ref_status, ref_val, _ = solve_with_scipy(lp)
             assert got.status == ref_status
             if ref_status == "optimal":
                 assert got.objective_value == pytest.approx(ref_val, abs=1e-9)
-                assert got.basis[0].max() < lp.n_vars + lp.n_rows
+                assert basis.max() < lp.n_vars + lp.n_rows
                 seen += any(basic)
         assert seen > 5
 
@@ -372,6 +372,15 @@ class TestDeterminism:
 
 def _engine(lp):
     return simplex._Engine(lp, SolverConfig())
+
+
+def _solved(lp):
+    """A cold solve of ``lp`` and the basis its engine ends on: the basic
+    column of each row, and whether each column or slack sits at its upper
+    bound."""
+    eng = simplex._started(lp)
+    sol = simplex._solve(eng, lp)
+    return sol, (eng.basis, eng.status[: lp.n_vars + lp.n_rows] == simplex._AT_UPPER)
 
 
 def _basis_matrix(eng, lp, basis):
@@ -455,9 +464,9 @@ class TestBasisInverse:
         checked = 0
         while checked < 30:
             lp = random_general_lp(rng, n_max=8, m_max=8)
-            sol = solve_lp(lp)
+            sol, (basis, _) = _solved(lp)
             if sol.is_optimal:
-                bases.append((_engine(lp), lp, sol.basis[0]))
+                bases.append((_engine(lp), lp, basis))
                 checked += 1
         for eng, lp, basis in bases:
             B_inv = _refactored(eng, basis)
@@ -524,14 +533,15 @@ def _same_solution(a, b):
         assert (x is None) == (y is None)
         if x is not None:
             assert np.array_equal(x, y)
-    assert (a.basis is None) == (b.basis is None)
-    if a.basis is not None:
-        assert all(np.array_equal(x, y) for x, y in zip(a.basis, b.basis))
 
 
 def _warm(lp, basis):
-    """A solve of ``lp`` started from ``basis``."""
-    return simplex._solve(simplex._started(lp, basis), lp)
+    """A solve of ``lp`` started from ``basis``, or from the slack basis if
+    that does not start, as ``simplex._started`` falls back."""
+    eng = _engine(lp)
+    if not simplex._start_warm(eng, basis):
+        eng.infeasible = eng.start(*eng.slack_start) > eng.cfg.feas_tol
+    return simplex._solve(eng, lp)
 
 
 class TestWarmStart:
@@ -541,13 +551,13 @@ class TestWarmStart:
         checked = 0
         for _ in range(120):
             lp = random_general_lp(rng, n_max=7, m_max=7)
-            first = solve_lp(lp)
+            first, basis = _solved(lp)
             if not first.is_optimal:
                 continue
-            assert first.basis is not None
+            assert basis[0].size == lp.n_rows
             new = _with(lp, costs=np.round(rng.uniform(-2, 2, size=lp.n_vars), 2))
             cold = solve_lp(new)
-            warm = _warm(new, first.basis)
+            warm = _warm(new, basis)
             assert warm.status == cold.status
             if cold.is_optimal:
                 obj = cold.objective_value
@@ -596,12 +606,12 @@ class TestWarmStart:
         repaired = 0
         for _ in range(200):
             lp = random_general_lp(rng, n_max=7, m_max=7)
-            first = solve_lp(lp)
+            first, basis = _solved(lp)
             if not first.is_optimal:
                 continue
             new = _with(lp, row_rhs=lp.row_rhs + np.round(rng.uniform(-1, 1, lp.n_rows), 2))
             repairs.clear()
-            warm = _warm(new, first.basis)
+            warm = _warm(new, basis)
             ref_status, ref_val, _ = solve_with_scipy(new)
             assert warm.status == ref_status
             if ref_status == "optimal":
@@ -615,10 +625,9 @@ class TestWarmStart:
         checked = 0
         for _ in range(20):
             lp = random_general_lp(rng)
-            cold = solve_lp(lp)
+            cold, (basis, at_upper) = _solved(lp)
             if not cold.is_optimal:
                 continue
-            basis, at_upper = cold.basis
             assert simplex._start_warm(_engine(lp), (basis[:-1], at_upper))
             got = _warm(lp, (basis[:-1], at_upper))
             obj = cold.objective_value
@@ -630,12 +639,44 @@ class TestWarmStart:
         # second, same-shaped program their columns are parallel.
         first = _lp("max", [1, 1], [[1, 0], [0, 1]], [LE, LE], [1, 1], [0, 0], [np.inf] * 2)
         second = _lp("max", [1, 2], [[1, 1], [2, 2]], [LE, LE], [1, 2], [0, 0], [np.inf] * 2)
-        sol = solve_lp(first)
-        assert sorted(sol.basis[0]) == [0, 1]
-        assert _engine(second).start(*sol.basis) <= cfg.feas_tol
-        assert simplex._start_warm(_engine(second), sol.basis)
-        got = _warm(second, sol.basis)
+        _, basis = _solved(first)
+        assert sorted(basis[0]) == [0, 1]
+        assert _engine(second).start(*basis) <= cfg.feas_tol
+        assert simplex._start_warm(_engine(second), basis)
+        got = _warm(second, basis)
         assert got.objective_value == pytest.approx(2.0, abs=cfg.gap_tol * 3.0)
+
+    def test_nondegenerate_optimum_gives_back_its_basis(self, monkeypatch):
+        pivot, pivots = simplex._Engine._pivot_update, []
+
+        def counted_pivot(eng, *args):
+            pivots.append(args)
+            return pivot(eng, *args)
+
+        monkeypatch.setattr(simplex._Engine, "_pivot_update", counted_pivot)
+        cfg = SolverConfig()
+        rng = np.random.default_rng(67)
+        checked = 0
+        for _ in range(200):
+            lp = random_general_lp(rng)
+            eng = simplex._started(lp)
+            sol = simplex._solve(eng, lp)
+            if not sol.is_optimal or np.any(eng.status == simplex._FREE):
+                continue
+            x, lo, hi = eng.x[eng.basis], eng.lo[eng.basis], eng.hi[eng.basis]
+            tol = cfg.feas_tol
+            inside = (np.isinf(lo) | (x - lo > tol * (1.0 + np.abs(lo)))) & (
+                np.isinf(hi) | (hi - x > tol * (1.0 + np.abs(hi)))
+            )
+            if not inside.all():
+                continue
+            assert set(eng.basis_of(sol.primal)[0]) == set(eng.basis)
+            pivots.clear()
+            warm = simplex._solve(simplex._started(lp, sol.primal), lp)
+            assert not pivots
+            assert np.allclose(warm.primal, sol.primal, rtol=0.0, atol=1e-9)
+            checked += 1
+        assert checked > 50
 
     def test_cold_solve_is_a_start_from_the_slack_basis(self):
         rng = np.random.default_rng(47)
@@ -652,11 +693,11 @@ class TestWarmStart:
         rng = np.random.default_rng(43)
         for _ in range(20):
             lp = random_general_lp(rng)
-            first = solve_lp(lp)
+            first, basis = _solved(lp)
             if not first.is_optimal:
                 continue
             new = _with(lp, costs=lp.costs[::-1].copy())
-            _same_solution(_warm(new, first.basis), _warm(new, first.basis))
+            _same_solution(_warm(new, basis), _warm(new, basis))
 
     def test_neighbouring_radius_takes_fewer_pivots(self, monkeypatch):
         solves = []
